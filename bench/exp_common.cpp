@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 namespace maopt::bench {
 
@@ -199,25 +200,82 @@ void print_ascii_fom_plot(const std::vector<AlgoSummary>& summaries) {
   std::printf("%6.2f +%s\n", lo, std::string(kCols, '-').c_str());
 }
 
-void write_bench_json(const std::string& path, const std::vector<BenchMetric>& metrics) {
+namespace {
+
+// Escapes the two characters that would break a JSON string's quoting;
+// control characters are dropped (a CPU model string has none in practice).
+std::string json_escaped(const std::string& s) {
+  std::string e;
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) < 0x20) continue;
+    if (c == '"' || c == '\\') e.push_back('\\');
+    e.push_back(c);
+  }
+  return e;
+}
+
+std::string trimmed(const std::string& s) {
+  const auto first = s.find_first_not_of(" \t\r\n");
+  if (first == std::string::npos) return "";
+  return s.substr(first, s.find_last_not_of(" \t\r\n") - first + 1);
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos) return trimmed(line.substr(colon + 1));
+  }
+  return "unknown";
+}
+
+// HEAD of the checkout the bench was built from, read at run time so a
+// build reused across commits still reports the code it runs. A checkout
+// with uncommitted changes reads "<sha>-dirty".
+std::string git_sha() {
+  const std::string cmd = std::string("git -C \"") + MAOPT_BENCH_SOURCE_DIR +
+                          "\" describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char buf[128] = {};
+  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+  pclose(pipe);
+  const std::string sha = got ? trimmed(buf) : "";
+  const std::string id = sha.substr(0, sha.find('-'));
+  const bool hex = id.size() == 40 && id.find_first_not_of("0123456789abcdef") == std::string::npos;
+  return hex && (sha == id || sha == id + "-dirty") ? sha : "";
+}
+
+}  // namespace
+
+HostStamp host_stamp() {
+  HostStamp h;
+  h.nproc = std::thread::hardware_concurrency();
+  h.cpu_model = cpu_model();
+  h.build_type = MAOPT_BENCH_BUILD_TYPE;
+  h.git_sha = git_sha();
+  return h;
+}
+
+void write_bench_json(const std::string& path, const std::vector<BenchMetric>& metrics,
+                      const HostStamp& host) {
   if (path.empty()) return;
   std::ofstream out(path);
   out << "{\n";
+  out << "  \"host\": {\"nproc\": " << host.nproc << ", \"cpu_model\": \""
+      << json_escaped(host.cpu_model) << "\", \"build_type\": \"" << json_escaped(host.build_type)
+      << "\"";
+  if (!host.git_sha.empty()) out << ", \"git_sha\": \"" << json_escaped(host.git_sha) << "\"";
+  out << "}";
+  if (!metrics.empty()) out << ",";
+  out << "\n";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
-    // Metric names/units are code-controlled identifiers; escape the two
-    // characters that could still break the quoting.
-    auto escaped = [](const std::string& s) {
-      std::string e;
-      for (const char c : s) {
-        if (c == '"' || c == '\\') e.push_back('\\');
-        e.push_back(c);
-      }
-      return e;
-    };
     char value[64];
     std::snprintf(value, sizeof value, "%.6g", metrics[i].value);
-    out << "  \"" << escaped(metrics[i].name) << "\": {\"value\": " << value << ", \"unit\": \""
-        << escaped(metrics[i].unit) << "\"}";
+    out << "  \"" << json_escaped(metrics[i].name) << "\": {\"value\": " << value
+        << ", \"unit\": \"" << json_escaped(metrics[i].unit) << "\"}";
     if (i + 1 < metrics.size()) out << ",";
     out << "\n";
   }

@@ -95,10 +95,27 @@ struct BenchMetric {
   std::string unit;
 };
 
+/// What a benchmark record was measured on, so committed BENCH_*.json files
+/// from different hosts and builds can be told apart.
+struct HostStamp {
+  unsigned nproc = 0;      ///< hardware threads (std::thread::hardware_concurrency)
+  std::string cpu_model;   ///< /proc/cpuinfo "model name", or "unknown"
+  std::string build_type;  ///< CMAKE_BUILD_TYPE of the bench build
+  std::string git_sha;     ///< HEAD of the source checkout ("<sha>-dirty" with local
+                           ///< changes); empty when unavailable
+};
+
+/// Stamp for the running process and the checkout it was built from.
+HostStamp host_stamp();
+
 /// Writes `metrics` to `path` as a flat JSON object
-///   {"<name>": {"value": <v>, "unit": "<unit>"}, ...}
+///   {"host": {"nproc": N, "cpu_model": "...", "build_type": "...",
+///             "git_sha": "..."},
+///    "<name>": {"value": <v>, "unit": "<unit>"}, ...}
 /// so successive runs can be diffed for performance regressions
-/// (BENCH_train.json is the training-hot-path record).
-void write_bench_json(const std::string& path, const std::vector<BenchMetric>& metrics);
+/// (BENCH_train.json is the training-hot-path record). "git_sha" is left
+/// out when the checkout has no git metadata.
+void write_bench_json(const std::string& path, const std::vector<BenchMetric>& metrics,
+                      const HostStamp& host = host_stamp());
 
 }  // namespace maopt::bench

@@ -47,6 +47,9 @@ class FomEvaluator {
   /// boundaries); used to backpropagate through the critic during actor
   /// training.
   Vec gradient(std::span<const double> metrics) const;
+  /// Same gradient written into `grad` (one entry per metric), so the
+  /// actor's per-row backward pass does not allocate.
+  void gradient(std::span<const double> metrics, std::span<double> grad) const;
 
   double f0_reference() const { return f0_ref_; }
   FomSemantics semantics() const { return semantics_; }

@@ -1,5 +1,6 @@
 #include "core/actor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,41 +19,49 @@ double Actor::train_round(Surrogate& critic, const FomEvaluator& fom,
   const std::size_t nb = config_.batch_size;
   double total_loss = 0.0;
 
-  nn::Mat states(nb, dim_);
+  states_.ensure_shape(nb, dim_);
+  critic_in_.ensure_shape(nb, 2 * dim_);
+  violation_.resize(dim_);
+  violation_sign_.resize(dim_);
   for (int step = 0; step < config_.steps_per_round; ++step) {
     for (std::size_t k = 0; k < nb; ++k) {
       const auto idx = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(records.size()) - 1));
-      const Vec u = scaler.to_unit(records[idx].x);
-      for (std::size_t c = 0; c < dim_; ++c) states(k, c) = u[c];
+      scaler.to_unit_into(records[idx].x, states_.row(k));
     }
 
-    const nn::Mat actions = mlp_.forward(states);
+    // A view of the actor's forward workspace: it stays valid (and states_
+    // stays borrowed) until backward_params below.
+    const nn::Mat& actions = mlp_.forward(states_);
 
-    nn::Mat critic_in(nb, 2 * dim_);
     for (std::size_t k = 0; k < nb; ++k)
       for (std::size_t c = 0; c < dim_; ++c) {
-        critic_in(k, c) = states(k, c);
-        critic_in(k, dim_ + c) = actions(k, c);
+        critic_in_(k, c) = states_(k, c);
+        critic_in_(k, dim_ + c) = actions(k, c);
       }
-    const nn::Mat raw = critic.predict(critic_in);
+    critic.predict(critic_in_, raw_);
 
     // dL/d(raw metrics) from the FoM, averaged over the batch.
-    nn::Mat d_raw(nb, raw.cols());
+    d_raw_.ensure_shape(nb, raw_.cols());
+    fom_grad_.resize(raw_.cols());
     double batch_loss = 0.0;
     for (std::size_t k = 0; k < nb; ++k) {
-      batch_loss += fom(raw.row(k));
-      const Vec g = fom.gradient(raw.row(k));
-      for (std::size_t c = 0; c < raw.cols(); ++c) d_raw(k, c) = g[c] / static_cast<double>(nb);
+      batch_loss += fom(raw_.row(k));
+      fom.gradient(raw_.row(k), fom_grad_);
+      for (std::size_t c = 0; c < raw_.cols(); ++c)
+        d_raw_(k, c) = fom_grad_[c] / static_cast<double>(nb);
     }
-    nn::Mat d_action = critic.action_gradient(d_raw);
+    critic.action_gradient(d_raw_, d_action_);
 
     // Boundary violation against the elite bounding box (Eq. 6), unit space.
     for (std::size_t k = 0; k < nb; ++k) {
-      Vec v(dim_, 0.0), sign(dim_, 0.0);
+      Vec& v = violation_;
+      Vec& sign = violation_sign_;
+      std::fill(v.begin(), v.end(), 0.0);
+      std::fill(sign.begin(), sign.end(), 0.0);
       double norm = 0.0;
       for (std::size_t c = 0; c < dim_; ++c) {
-        const double xn = states(k, c) + actions(k, c);
+        const double xn = states_(k, c) + actions(k, c);
         if (xn < elite_lb_unit[c]) {
           v[c] = elite_lb_unit[c] - xn;
           sign[c] = -1.0;
@@ -66,11 +75,11 @@ double Actor::train_round(Surrogate& critic, const FomEvaluator& fom,
       batch_loss += config_.lambda * norm;
       if (norm > 1e-12) {
         for (std::size_t c = 0; c < dim_; ++c)
-          d_action(k, c) += config_.lambda * sign[c] * v[c] / norm / static_cast<double>(nb);
+          d_action_(k, c) += config_.lambda * sign[c] * v[c] / norm / static_cast<double>(nb);
       }
     }
 
-    mlp_.backward_params(d_action);
+    mlp_.backward_params(d_action_);
     adam_.step();
     total_loss += batch_loss / static_cast<double>(nb);
   }

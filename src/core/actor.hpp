@@ -49,6 +49,10 @@ class Actor {
   ActorConfig config_;
   nn::Mlp mlp_;
   nn::Adam adam_;
+  // train_round scratch, sized on the first step and reused by every later
+  // step, so the 30-step rounds of each actor lane never allocate.
+  nn::Mat states_, critic_in_, raw_, d_raw_, d_action_;
+  Vec fom_grad_, violation_, violation_sign_;
 };
 
 }  // namespace maopt::core

@@ -52,10 +52,10 @@ double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng) {
   return total / std::max(1, config_.steps_per_round);
 }
 
-nn::Mat Critic::predict(const nn::Mat& x_dx) {
+void Critic::predict(const nn::Mat& x_dx, nn::Mat& raw) {
   MAOPT_CHECK(x_dx.cols() == 2 * dim_, "Critic::predict: input must be (batch x 2*dim)");
   MAOPT_CHECK(norm_.fitted(), "Critic::predict: fit_normalizer must run first");
-  return norm_.inverse(mlp_.forward(x_dx));
+  norm_.inverse_into(mlp_.forward(x_dx), raw);
 }
 
 Vec Critic::predict_one(const Vec& x_unit, const Vec& dx_unit) {
@@ -68,19 +68,19 @@ Vec Critic::predict_one(const Vec& x_unit, const Vec& dx_unit) {
   return Vec(out.row(0).begin(), out.row(0).end());
 }
 
-nn::Mat Critic::action_gradient(const nn::Mat& d_loss_d_raw_metrics) {
+void Critic::action_gradient(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& da) {
   MAOPT_CHECK(d_loss_d_raw_metrics.cols() == num_metrics_,
               "Critic::action_gradient: gradient width != num_metrics");
+  MAOPT_CHECK(&da != &d_loss_d_raw_metrics, "Critic::action_gradient: da aliases the input");
   // Chain through the inverse z-score: raw = z * std + mean  =>  dz = draw * std.
-  nn::Mat dz = d_loss_d_raw_metrics;
   const Vec& std = norm_.std();
-  for (std::size_t r = 0; r < dz.rows(); ++r)
-    for (std::size_t c = 0; c < dz.cols(); ++c) dz(r, c) *= std[c];
-  const nn::Mat dx_full = mlp_.input_gradient(dz);
-  nn::Mat da(dx_full.rows(), dim_);
+  dz_.ensure_shape(d_loss_d_raw_metrics.rows(), num_metrics_);
+  for (std::size_t r = 0; r < dz_.rows(); ++r)
+    for (std::size_t c = 0; c < dz_.cols(); ++c) dz_(r, c) = d_loss_d_raw_metrics(r, c) * std[c];
+  const nn::Mat& dx_full = mlp_.input_gradient(dz_);
+  da.ensure_shape(dx_full.rows(), dim_);
   for (std::size_t r = 0; r < dx_full.rows(); ++r)
     for (std::size_t c = 0; c < dim_; ++c) da(r, c) = dx_full(r, dim_ + c);
-  return da;
 }
 
 CriticEnsemble::CriticEnsemble(std::size_t num_critics, std::size_t dim,
@@ -121,29 +121,28 @@ void CriticEnsemble::fit_normalizer(const std::vector<SimRecord>& records, Threa
   }
 }
 
-nn::Mat CriticEnsemble::predict(const nn::Mat& x_dx) {
-  nn::Mat sum = members_.front().predict(x_dx);
+void CriticEnsemble::predict(const nn::Mat& x_dx, nn::Mat& raw) {
+  MAOPT_CHECK(&raw != &x_dx, "CriticEnsemble::predict: raw aliases the input");
+  members_.front().predict(x_dx, raw);
   for (std::size_t i = 1; i < members_.size(); ++i) {
-    const nn::Mat p = members_[i].predict(x_dx);
-    for (std::size_t k = 0; k < sum.data().size(); ++k) sum.data()[k] += p.data()[k];
+    members_[i].predict(x_dx, member_out_);
+    for (std::size_t k = 0; k < raw.data().size(); ++k) raw.data()[k] += member_out_.data()[k];
   }
   const double inv = 1.0 / static_cast<double>(members_.size());
-  for (auto& v : sum.data()) v *= inv;
-  return sum;
+  for (auto& v : raw.data()) v *= inv;
 }
 
-nn::Mat CriticEnsemble::action_gradient(const nn::Mat& d_loss_d_raw_metrics) {
+void CriticEnsemble::action_gradient(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& da) {
   // d(mean of members)/d(dx) = mean of member gradients. Each member's
   // forward cache is still valid from predict() because predict() ran every
   // member's forward pass last.
-  nn::Mat sum = members_.front().action_gradient(d_loss_d_raw_metrics);
+  members_.front().action_gradient(d_loss_d_raw_metrics, da);
   for (std::size_t i = 1; i < members_.size(); ++i) {
-    const nn::Mat g = members_[i].action_gradient(d_loss_d_raw_metrics);
-    for (std::size_t k = 0; k < sum.data().size(); ++k) sum.data()[k] += g.data()[k];
+    members_[i].action_gradient(d_loss_d_raw_metrics, member_out_);
+    for (std::size_t k = 0; k < da.data().size(); ++k) da.data()[k] += member_out_.data()[k];
   }
   const double inv = 1.0 / static_cast<double>(members_.size());
-  for (auto& v : sum.data()) v *= inv;
-  return sum;
+  for (auto& v : da.data()) v *= inv;
 }
 
 std::size_t CriticEnsemble::num_parameters() const {

@@ -18,12 +18,20 @@ namespace maopt::core {
 class Surrogate {
  public:
   virtual ~Surrogate() = default;
-  /// Predicted raw metric vectors for a batch of (x, dx) unit-space inputs.
-  virtual nn::Mat predict(const nn::Mat& x_dx) = 0;
+  /// Predicted raw metric vectors for a batch of (x, dx) unit-space inputs,
+  /// written into `raw` (reshaped, capacity reused).
+  virtual void predict(const nn::Mat& x_dx, nn::Mat& raw) = 0;
   /// Gradient of a scalar loss w.r.t. the dx part of the input, given the
-  /// loss gradient w.r.t. the raw predicted metrics; must follow the
-  /// matching predict() call (forward caches).
-  virtual nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) = 0;
+  /// loss gradient w.r.t. the raw predicted metrics, written into `da`
+  /// (reshaped, capacity reused); must follow the matching predict() call
+  /// (forward caches).
+  virtual void action_gradient(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& da) = 0;
+  /// Allocating form of predict, for code off the hot path.
+  nn::Mat predict(const nn::Mat& x_dx) {
+    nn::Mat raw;
+    predict(x_dx, raw);
+    return raw;
+  }
   virtual std::size_t dim() const = 0;
   virtual std::size_t num_metrics() const = 0;
 };
@@ -49,11 +57,12 @@ class Critic final : public Surrogate {
   /// (normalized units) over the round.
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng);
 
-  nn::Mat predict(const nn::Mat& x_dx) override;
+  using Surrogate::predict;
+  void predict(const nn::Mat& x_dx, nn::Mat& raw) override;
   /// Single-sample convenience.
   Vec predict_one(const Vec& x_unit, const Vec& dx_unit);
 
-  nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) override;
+  void action_gradient(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& da) override;
 
   void fit_normalizer(const std::vector<SimRecord>& records);
   bool normalizer_ready() const { return norm_.fitted(); }
@@ -71,6 +80,8 @@ class Critic final : public Surrogate {
   nn::ZScoreNormalizer norm_;
   // Minibatch scratch reused across all train_round calls (not copied).
   nn::Mat batch_x_, batch_y_raw_, batch_y_, batch_grad_;
+  // action_gradient's normalized-output gradient (not copied).
+  nn::Mat dz_;
 };
 
 /// Ensemble of independently initialized critics whose predictions (and
@@ -90,8 +101,9 @@ class CriticEnsemble final : public Surrogate {
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
   void fit_normalizer(const std::vector<SimRecord>& records, ThreadPool* pool = nullptr);
 
-  nn::Mat predict(const nn::Mat& x_dx) override;
-  nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) override;
+  using Surrogate::predict;
+  void predict(const nn::Mat& x_dx, nn::Mat& raw) override;
+  void action_gradient(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& da) override;
   std::size_t dim() const override { return members_.front().dim(); }
   std::size_t num_metrics() const override { return members_.front().num_metrics(); }
 
@@ -102,6 +114,8 @@ class CriticEnsemble final : public Surrogate {
 
  private:
   std::vector<Critic> members_;
+  // Per-member output of predict/action_gradient before averaging.
+  nn::Mat member_out_;
 };
 
 }  // namespace maopt::core

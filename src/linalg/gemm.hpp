@@ -1,18 +1,42 @@
-// Cache-blocked dense GEMM kernels for the neural-network training hot path.
+// Dense GEMM kernels for the neural-network training hot path.
 //
-// The naive matmul in matrix.cpp streams all of B through cache for every
-// row of A; at the sizes the critic/actor MLPs use (batch x 100 x 100 and
-// larger near-sampling batches) that is memory-bound. The kernels here tile
-// the i-k-j loop nest so a panel of B rows stays resident while four A
-// scalars at a time are broadcast against it, and every kernel *accumulates*
-// into a caller-owned C so the surrounding code can reuse buffers instead of
-// constructing fresh matrices per call.
-//
-// Three transpose variants cover the whole backprop triangle without ever
-// materializing a transpose:
+// Every kernel *accumulates* into a caller-owned C, so the surrounding code
+// can reuse buffers instead of constructing fresh matrices per call. Three
+// transpose variants cover the whole backprop triangle without ever
+// materializing a transpose of an operand the caller owns:
 //   gemm_nn: C += A B        (forward:  Y += X W)
 //   gemm_tn: C += A^T B      (weights:  dW += X^T dY)
 //   gemm_nt: C += A B^T      (inputs:   dX += dY W^T)
+//
+// Rounding contract. Results are reproducible bit for bit: each output
+// element goes through a fixed sequence of roundings that depends only on
+// (m, n, k) and the ISA path, never on threads, blocking, the CMake build
+// type or MAOPT_NATIVE.
+// "fma" below is one fused multiply-add on the AVX2+FMA path and a rounded
+// product plus a rounded add on the SSE2 path (no FMA unit):
+//   gemm_nn, gemm_tn: for each group of four consecutive p (groups start at
+//     multiples of 4), t = fma(a0, b0, a1 * b1); t = fma(a2, b2, t);
+//     t = fma(a3, b3, t); c += t. The last k % 4 terms go one by one as
+//     c = fma(a, b, c).
+//   gemm_nt: s = 0; s += a * b for p in order with each product rounded
+//     (never fused), except that for odd k the last term is s = fma(a, b, s);
+//     then c += s.
+// These are the roundings of the scalar kernels the SIMD ones replaced (as
+// GCC -O3 built them), pinned by tests/linalg/test_gemm_bits.cpp against a
+// frozen copy of those kernels.
+//
+// Speed. With n <= 16 outputs (the MLPs' top layers), gemm_nn and gemm_tn
+// keep the whole C block in vector registers for the full k loop; wider
+// outputs run a cache-tiled loop that streams C row segments. gemm_nt
+// reads B^T through a packed copy: it transposes the first n - n % 4 rows
+// of B into the caller's `pack` scratch on every call (B is a weight matrix
+// that changes between calls, so a pack is never reused) and then
+// vectorizes across output columns. The caller owns the scratch so the hot
+// loop never allocates: nn::Linear keeps it in a Workspace slot. The vector
+// width is chosen per ISA path, four lanes with AVX2 and two with SSE2 (see
+// linalg/dispatch.hpp). 256-bit generic vectors must not reach SSE2 code:
+// GCC lowers them piecewise through memory, about 5x slower than the
+// 128-bit body.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +57,11 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a, const
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
              double* c);
 
-/// C (m x n) += A * B^T where B is stored (n x k) row-major.
+/// C (m x n) += A * B^T where B is stored (n x k) row-major. `pack` is
+/// scratch for at least n * k doubles, overwritten on every call; it may be
+/// null when m < 2, n < 4 or k == 0.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-             double* c);
+             double* c, double* pack);
 
 /// c = a * b via the blocked serial kernel; c is reshaped (capacity reused).
 void matmul_blocked(const Mat& a, const Mat& b, Mat& c);

@@ -17,10 +17,15 @@ RangeScaler::RangeScaler(Vec lower, Vec upper) : lower_(std::move(lower)), upper
 }
 
 Vec RangeScaler::to_unit(const Vec& x) const {
-  if (x.size() != dim()) throw std::invalid_argument("RangeScaler::to_unit: size mismatch");
   Vec u(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) u[i] = (x[i] - center_[i]) / half_span_[i];
+  to_unit_into(x, u);
   return u;
+}
+
+void RangeScaler::to_unit_into(std::span<const double> x, std::span<double> u) const {
+  if (x.size() != dim() || u.size() != dim())
+    throw std::invalid_argument("RangeScaler::to_unit: size mismatch");
+  for (std::size_t i = 0; i < x.size(); ++i) u[i] = (x[i] - center_[i]) / half_span_[i];
 }
 
 Vec RangeScaler::from_unit(const Vec& u) const {
@@ -87,11 +92,10 @@ void ZScoreNormalizer::transform_into(const Mat& x, Mat& z) const {
     for (std::size_t c = 0; c < x.cols(); ++c) z(r, c) = (x(r, c) - mean_[c]) / std_[c];
 }
 
-Mat ZScoreNormalizer::inverse(const Mat& z) const {
-  Mat x(z.rows(), z.cols());
+void ZScoreNormalizer::inverse_into(const Mat& z, Mat& x) const {
+  x.ensure_shape(z.rows(), z.cols());
   for (std::size_t r = 0; r < z.rows(); ++r)
     for (std::size_t c = 0; c < z.cols(); ++c) x(r, c) = z(r, c) * std_[c] + mean_[c];
-  return x;
 }
 
 Vec ZScoreNormalizer::transform(const Vec& x) const {

@@ -4,6 +4,7 @@
 // because their magnitudes span many decades (Hz vs V vs W).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -22,6 +23,8 @@ class RangeScaler {
   std::size_t dim() const { return lower_.size(); }
 
   Vec to_unit(const Vec& x) const;    ///< box -> [-1,1]
+  /// Allocation-free to_unit: writes the dim() unit coordinates into `u`.
+  void to_unit_into(std::span<const double> x, std::span<double> u) const;
   Vec from_unit(const Vec& u) const;  ///< [-1,1] -> box (no clipping)
   Mat to_unit(const Mat& x) const;
   Mat from_unit(const Mat& u) const;
@@ -47,7 +50,9 @@ class ZScoreNormalizer {
   /// Allocation-free variant for hot loops: `z` is reshaped (capacity
   /// reused) and fully overwritten.
   void transform_into(const Mat& x, Mat& z) const;
-  Mat inverse(const Mat& z) const;
+  /// Inverse of transform, allocation-free like transform_into: `x` is
+  /// reshaped (capacity reused) and fully overwritten.
+  void inverse_into(const Mat& z, Mat& x) const;
   Vec transform(const Vec& x) const;
   Vec inverse(const Vec& z) const;
   /// Maps a gradient w.r.t. normalized values back to raw units (dz -> dx).

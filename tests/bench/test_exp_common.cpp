@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/pso.hpp"
 #include "core/random_search.hpp"
@@ -123,6 +126,60 @@ TEST(ExpCommon, BenchJsonWellFormed) {
   EXPECT_NE(text.find("\"odd\\\"name\\\\\""), std::string::npos) << text;
   EXPECT_EQ(text.front(), '{');
   EXPECT_EQ(text.back(), '\n');
+  std::remove(path.c_str());
+}
+
+TEST(ExpCommon, BenchJsonLeadsWithHostStamp) {
+  const std::string path = "/tmp/maopt_bench_json_host_test.json";
+  write_bench_json(path, {{"kernel_gflops", 12.5, "GFLOP/s"}},
+                   HostStamp{8, "Test \"CPU\" @ 3GHz", "Release", "0123abcd"});
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(text.rfind("{\n  \"host\": {\"nproc\": 8, \"cpu_model\": \"Test \\\"CPU\\\" @ 3GHz\", "
+                       "\"build_type\": \"Release\", \"git_sha\": \"0123abcd\"},\n",
+                       0),
+            0u)
+      << text;
+  EXPECT_NE(text.find("\"kernel_gflops\": {\"value\": 12.5"), std::string::npos) << text;
+
+  // Without git metadata the sha is left out rather than written empty.
+  write_bench_json(path, {}, HostStamp{2, "cpu", "Debug", ""});
+  std::ifstream in2(path);
+  std::string text2((std::istreambuf_iterator<char>(in2)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(text2,
+            "{\n  \"host\": {\"nproc\": 2, \"cpu_model\": \"cpu\", \"build_type\": \"Debug\"}\n}\n");
+  std::remove(path.c_str());
+}
+
+TEST(ExpCommon, HostStampDescribesThisProcess) {
+  const HostStamp host = host_stamp();
+  EXPECT_GT(host.nproc, 0u);
+  EXPECT_FALSE(host.cpu_model.empty());
+  EXPECT_FALSE(host.build_type.empty());
+  // Either no git metadata, or a full hex commit id, marked when the
+  // checkout has local changes.
+  if (!host.git_sha.empty()) {
+    const std::string id = host.git_sha.substr(0, 40);
+    EXPECT_EQ(id.find_first_not_of("0123456789abcdef"), std::string::npos) << host.git_sha;
+    EXPECT_TRUE(host.git_sha.size() == 40 || host.git_sha.substr(40) == "-dirty") << host.git_sha;
+  }
+}
+
+// bench_train's end-to-end row counts simulations, and its key says so.
+TEST(ExpCommon, BenchTrainReportsEndToEndSimsPerSecond) {
+  const std::string path = "/tmp/maopt_bench_train_smoke_test.json";
+  std::remove(path.c_str());
+  const std::string cmd =
+      std::string("\"") + MAOPT_BENCH_TRAIN_EXE + "\" --smoke --json " + path + " > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"end_to_end_sims_per_s\": {\"value\": "), std::string::npos) << text;
+  EXPECT_NE(text.find("\"unit\": \"sims/s\"}"), std::string::npos) << text;
+  EXPECT_EQ(text.find("iters_per_s"), std::string::npos) << text;
+  EXPECT_EQ(text.rfind("{\n  \"host\": {\"nproc\": ", 0), 0u) << text;
   std::remove(path.c_str());
 }
 

@@ -104,7 +104,8 @@ TEST_F(CriticFixture, ActionGradientMatchesFiniteDifference) {
   critic.predict(in);
   nn::Mat dl(1, 3);
   for (std::size_t c = 0; c < 3; ++c) dl(0, c) = w[c];
-  const nn::Mat da = critic.action_gradient(dl);
+  nn::Mat da;
+  critic.action_gradient(dl, da);
 
   const double eps = 1e-6;
   for (std::size_t c = 0; c < 3; ++c) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 
@@ -108,7 +110,8 @@ TEST(GemmVariants, TransposedKernelsMatchExplicitTranspose) {
     const Mat a = random_matrix(m, k, rng);
     const Mat b = random_matrix(n, k, rng);
     Mat c(m, n, 0.0);
-    gemm_nt(m, n, k, a.data().data(), b.data().data(), c.data().data());
+    std::vector<double> pack(n * k);
+    gemm_nt(m, n, k, a.data().data(), b.data().data(), c.data().data(), pack.data());
     expect_close(c, matmul(a, b.transposed()), 1e-11);
   }
 }
