@@ -42,16 +42,6 @@ std::chrono::nanoseconds to_duration(double seconds) {
 
 }  // namespace
 
-const char* to_string(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::Timeout: return "timeout";
-    case FailureKind::NonConvergence: return "non-convergence";
-    case FailureKind::NonFinite: return "non-finite";
-    case FailureKind::Exception: return "exception";
-  }
-  return "unknown";
-}
-
 std::string FailureStats::report() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
@@ -161,13 +151,6 @@ ResilientEvaluator::Attempt ResilientEvaluator::run_attempt(const Vec& x, EvalSe
   return classify(std::move(result), error);
 }
 
-namespace {
-// Per-thread record of the most recent evaluate() (see last_call_stats()).
-thread_local ResilientEvaluator::CallStats tl_last_call;
-}  // namespace
-
-ResilientEvaluator::CallStats ResilientEvaluator::last_call_stats() { return tl_last_call; }
-
 EvalResult ResilientEvaluator::evaluate(const Vec& x) const {
   return evaluate_with(x, nullptr, ProcessVariation{});
 }
@@ -183,7 +166,7 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
   const Vec& lo = lower_bounds();
   const Vec& hi = upper_bounds();
 
-  CallStats call;
+  CallProvenance call;
   const int attempts_allowed = 1 + config_.max_retries;
   Vec attempt_x = x;
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
@@ -201,19 +184,19 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
     }
     Attempt a = run_attempt(attempt_x, session, pv);
     if (a.ok) {
-      tl_last_call = call;
+      a.result.call = call;
       return std::move(a.result);
     }
-    call.last_kind = a.kind;
+    call.last_failure = a.kind;
     by_kind_[static_cast<std::size_t>(a.kind)].fetch_add(1, std::memory_order_relaxed);
   }
 
   failures_.fetch_add(1, std::memory_order_relaxed);
   call.failed = true;
-  tl_last_call = call;
   EvalResult fail;
   fail.metrics = inner_->failure_metrics();
   fail.simulation_ok = false;
+  fail.call = call;
   return fail;
 }
 

@@ -33,6 +33,16 @@ class VariedForwardingSession final : public EvalSession {
 
 }  // namespace
 
+const char* to_string(FailureKind kind) {
+  switch (kind) {
+    case FailureKind::Timeout: return "timeout";
+    case FailureKind::NonConvergence: return "non-convergence";
+    case FailureKind::NonFinite: return "non-finite";
+    case FailureKind::Exception: return "exception";
+  }
+  return "unknown";
+}
+
 void validate_process_variation(const ProcessVariation& pv) {
   MAOPT_CHECK(std::isfinite(pv.sigma_vth) && pv.sigma_vth >= 0.0,
               "ProcessVariation: sigma_vth must be finite and >= 0");

@@ -63,18 +63,47 @@ struct ProblemSpec {
   std::vector<ConstraintSpec> constraints;
 };
 
+/// Why an evaluation attempt failed (the tag recorded per attempt).
+enum class FailureKind : std::uint8_t {
+  Timeout = 0,         ///< attempt exceeded the wall-clock deadline
+  NonConvergence = 1,  ///< solver returned simulation_ok = false
+  NonFinite = 2,       ///< solver "succeeded" but produced NaN/Inf metrics
+  Exception = 3,       ///< solver threw
+};
+inline constexpr std::size_t kNumFailureKinds = 4;
+
+const char* to_string(FailureKind kind);
+
+/// How one evaluation call was served. The decorator that knows a field
+/// fills it in the result it returns: ResilientEvaluator the retry and
+/// failure detail, eval::EvalService the cache detail. Riding in the result,
+/// it survives batching and thread hops; a plain evaluation and a sweep
+/// aggregate leave it default.
+struct CallProvenance {
+  std::uint32_t retries = 0;  ///< resilient retries this call consumed
+  bool failed = false;        ///< every attempt failed; metrics are failure_metrics
+  FailureKind last_failure = FailureKind::NonConvergence;  ///< valid when failed
+  bool served = false;     ///< answered by an EvalService: one cache hit or miss
+  bool cache_hit = false;  ///< served from the result cache
+  bool coalesced = false;  ///< shared a concurrent request's simulation
+  double seconds = 0.0;    ///< wall clock of the simulation the service ran;
+                           ///< 0 for hits, coalesced requests and unserved calls
+};
+
 /// Result of one simulation: metrics[0] = f0, metrics[1..m] = constraints.
 /// The variant fields carry robustness provenance when the result is an
 /// aggregate over a corner / Monte Carlo sweep (variation_sweep.hpp):
 /// `variants_total` = 0 marks a plain single-point evaluation; `degraded`
 /// marks an aggregate whose metrics were shaped by a partial-failure policy
 /// (some variants failed but the sweep still produced a usable bound).
+/// `call` is the per-call provenance (see CallProvenance).
 struct EvalResult {
   Vec metrics;
   bool simulation_ok = true;
   bool degraded = false;              ///< partial-failure policy shaped the metrics
-  std::uint32_t variants_failed = 0;  ///< failed or breaker-skipped variants
+  std::uint32_t variants_failed = 0;  ///< failed variants
   std::uint32_t variants_total = 0;   ///< sweep width; 0 = single-point result
+  CallProvenance call{};
 };
 
 /// Reusable single-threaded evaluator for one problem. Circuit problems back

@@ -44,42 +44,11 @@ std::vector<SimRecord> sample_initial_set(const SizingProblem& problem, std::siz
   return records;
 }
 
-std::vector<SimRecord> sample_initial_set_lhs(const SizingProblem& problem, std::size_t n,
-                                              Rng& rng) {
-  const std::size_t d = problem.dim();
-  const Vec& lo = problem.lower_bounds();
-  const Vec& hi = problem.upper_bounds();
-  // One stratum permutation per dimension.
-  std::vector<std::vector<std::size_t>> strata(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    strata[j].resize(n);
-    for (std::size_t i = 0; i < n; ++i) strata[j][i] = i;
-    rng.shuffle(strata[j]);
-  }
-  std::vector<SimRecord> records;
-  records.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Vec x(d);
-    for (std::size_t j = 0; j < d; ++j) {
-      const double u = (static_cast<double>(strata[j][i]) + rng.uniform()) /
-                       static_cast<double>(n);
-      x[j] = lo[j] + u * (hi[j] - lo[j]);
-    }
-    SimRecord r;
-    r.x = problem.clip(std::move(x));
-    const ckt::EvalResult eval = problem.evaluate(r.x);
-    r.metrics = eval.metrics;
-    r.simulation_ok = eval.simulation_ok;
-    copy_provenance(r, eval);
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
 void copy_provenance(SimRecord& record, const ckt::EvalResult& eval) {
   record.degraded = eval.degraded;
   record.variants_failed = eval.variants_failed;
   record.variants_total = eval.variants_total;
+  record.call = eval.call;
 }
 
 bool annotate_record(SimRecord& record, const SizingProblem& problem, const FomEvaluator& fom) {

@@ -33,6 +33,10 @@ struct SimRecord {
   bool degraded = false;
   std::uint32_t variants_failed = 0;
   std::uint32_t variants_total = 0;
+  /// Per-call provenance (retries, failure kind, cache detail), copied from
+  /// EvalResult for the SimulationCompleted event. Not persisted: a replayed
+  /// or warm-started record was not simulated by this run.
+  ckt::CallProvenance call;
 };
 
 struct RunHistory {
@@ -66,14 +70,8 @@ struct RunHistory {
 /// 100 random designs simulated once and shared across all methods).
 std::vector<SimRecord> sample_initial_set(const SizingProblem& problem, std::size_t n, Rng& rng);
 
-/// Latin-hypercube variant: per dimension, one sample in each of n equal
-/// strata (randomly permuted) — better space coverage than i.i.d. uniform
-/// at the same budget. Integer parameters are rounded afterwards.
-std::vector<SimRecord> sample_initial_set_lhs(const SizingProblem& problem, std::size_t n,
-                                              Rng& rng);
-
-/// Copies the sweep provenance fields (degraded / variants_failed /
-/// variants_total) from an evaluation result into a record. Kept out of
+/// Copies the provenance fields (degraded / variants_failed /
+/// variants_total / call) from an evaluation result into a record. Kept out of
 /// annotate_record so every record-construction site — serial, pooled, and
 /// the service batch path — applies it uniformly right where the EvalResult
 /// is consumed.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <deque>
 
-#include "circuits/resilient_problem.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -64,6 +63,8 @@ RunHistory MaOptimizer::resume(const SizingProblem& problem, const RunCheckpoint
   const auto split = h.records.begin() + static_cast<std::ptrdiff_t>(h.num_initial);
   std::vector<SimRecord> initial(h.records.begin(), split);
   std::vector<SimRecord> replay(split, h.records.end());
+  // Replayed records are not simulated again, so they carry no call detail.
+  for (SimRecord& r : replay) r.call = {};
 
   // Same telemetry bracketing as Optimizer::run — a resumed run is a run.
   obs::RunTelemetry telemetry(options.observer);
@@ -165,32 +166,13 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
   const bool checkpointing = config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
 
   // Telemetry plumbing: spans collected per iteration (actor workers report
-  // into their own lanes), per-simulation retry/failure detail probed from a
-  // ResilientEvaluator when the problem is one. With no observer every emit
-  // below is a single branch on null.
+  // into their own lanes). With no observer every emit below is a single
+  // branch on null.
   obs::SpanCollector spans(telemetry.enabled());
-  const auto* resilient = dynamic_cast<const ckt::ResilientEvaluator*>(&problem);
   // When the problem is an EvalService, per-iteration proposals are routed
-  // through evaluate_batch (one batch per iteration) and the per-request
-  // EvalOutcome supplies cache/coalesce telemetry.
+  // through evaluate_batch (one batch per iteration).
   const auto* service = dynamic_cast<const eval::EvalService*>(&problem);
   int current_iter = 0;
-
-  struct SimMeta {
-    int lane = -1;
-    double seconds = 0.0;
-    ckt::ResilientEvaluator::CallStats call;
-    bool cache_hit = false;
-    bool coalesced = false;
-    bool via_service = false;  ///< evaluated through the EvalService this run
-  };
-
-  auto meta_from_outcome = [](SimMeta& meta, const eval::EvalOutcome& outcome) {
-    meta.call = outcome.call;
-    meta.cache_hit = outcome.cache_hit;
-    meta.coalesced = outcome.coalesced;
-    meta.via_service = true;
-  };
 
   auto emit_checkpoint = [&](std::uint64_t bytes, int iteration) {
     ++telemetry.counters().checkpoints;
@@ -205,7 +187,9 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
     }
   };
 
-  auto append_record = [&](SimRecord rec, std::ptrdiff_t actor_set, const SimMeta& meta) {
+  // `lane` is the proposing actor (-1 for near-sampling); `seconds` the
+  // simulation's wall clock (0 for a replayed record).
+  auto append_record = [&](SimRecord rec, std::ptrdiff_t actor_set, int lane, double seconds) {
     const bool ok = annotate_record(rec, problem, fom);
     specs_met = specs_met || rec.feasible;
     if (ok) {
@@ -230,29 +214,8 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
     // Failed records never improve the trajectory: their penalty FoM is
     // budget bookkeeping, not a design the run could return.
     history.best_fom_after.push_back(running_best);
-    if (telemetry.enabled()) {
-      const SimRecord& stored = history.records.back();
-      obs::SimulationCompleted event;
-      event.index = sims;
-      event.iteration = static_cast<std::uint64_t>(current_iter);
-      event.lane = meta.lane;
-      event.ok = stored.simulation_ok;
-      event.feasible = stored.feasible;
-      event.fom = stored.fom;
-      event.seconds = meta.seconds;
-      event.retries = meta.call.retries;
-      event.cache_hit = meta.cache_hit;
-      event.coalesced = meta.coalesced;
-      if (!stored.simulation_ok && meta.call.failed)
-        event.failure_kind = ckt::to_string(meta.call.last_kind);
-      telemetry.emit(event);
-    }
-    telemetry.counters().retries += meta.call.retries;
-    if (meta.via_service) {
-      obs::RunCounters& counters = telemetry.counters();
-      ++(meta.cache_hit ? counters.cache_hits : counters.cache_misses);
-      if (meta.coalesced) ++counters.cache_coalesced;
-    }
+    emit_simulation(telemetry, history.records.back(), sims,
+                    static_cast<std::uint64_t>(current_iter), lane, seconds);
     ++sims;
   };
 
@@ -303,7 +266,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       if (!replaying) history.ns_seconds += ns_clock.elapsed_seconds();
 
       SimRecord rec;
-      SimMeta meta;
+      double sim_s = 0.0;
       if (replaying) {
         rec = std::move(replay[replay_pos++]);
         if (rec.x != candidate) replay_diverged.store(true, std::memory_order_relaxed);
@@ -313,16 +276,10 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
           const obs::ScopedSpan sim_span(spans, obs::Phase::Simulate);
           rec = evaluate_record(problem, candidate);
         }
-        const double sim_s = sim_clock.elapsed_seconds();
+        sim_s = sim_clock.elapsed_seconds();
         history.sim_seconds += sim_s;
-        meta.seconds = sim_s;
-        if (service != nullptr) {
-          meta_from_outcome(meta, eval::EvalService::last_outcome());
-        } else if (resilient != nullptr) {
-          meta.call = ckt::ResilientEvaluator::last_call_stats();
-        }
       }
-      append_record(std::move(rec), /*actor_set=*/-1, meta);
+      append_record(std::move(rec), /*actor_set=*/-1, /*lane=*/-1, sim_s);
       ++telemetry.counters().ns_iterations;
     } else {
       // --- Algorithm 1: critic training, then parallel actor rounds ---
@@ -340,8 +297,10 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
 
       const std::size_t workers = std::min(n_act, simulation_budget - sims);
       std::vector<SimRecord> results(workers);
+      // Per lane: training and simulation time for the history (thread CPU
+      // time on the lane path), and the simulation wall clock for telemetry.
       std::vector<double> worker_train_s(workers, 0.0), worker_sim_s(workers, 0.0);
-      std::vector<SimMeta> worker_meta(workers);
+      std::vector<double> worker_wall_s(workers, 0.0);
       // Batched path: workers only *propose*; the proposals are evaluated
       // below as one evaluate_batch call (in-batch duplicates coalesce).
       std::vector<Vec> pending(workers);
@@ -365,7 +324,6 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
             actors[i].select_candidate_unit(local_critic, fom, elite.snapshot(), scaler);
         worker_train_s[i] = tclock.elapsed_seconds();
         train_span.stop();
-        worker_meta[i].lane = static_cast<int>(i);
 
         Vec candidate(d);
         for (std::size_t c = 0; c < d; ++c) candidate[c] = std::clamp(proposal_unit[c], -1.0, 1.0);
@@ -385,9 +343,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
             results[i] = evaluate_record(problem, std::move(candidate));
           }
           worker_sim_s[i] = sclock.elapsed_seconds();
-          worker_meta[i].seconds = sim_wall.elapsed_seconds();
-          if (resilient != nullptr)
-            worker_meta[i].call = ckt::ResilientEvaluator::last_call_stats();
+          worker_wall_s[i] = sim_wall.elapsed_seconds();
         }
       });
 
@@ -402,33 +358,29 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
           owner.push_back(i);
         }
         if (!batch.empty()) {
-          std::vector<eval::EvalOutcome> outcomes;
           std::vector<ckt::EvalResult> batch_results;
           bool batch_ok = true;
           try {
-            batch_results = service->evaluate_batch(batch, &outcomes);
+            batch_results = service->evaluate_batch(batch);
           } catch (...) {
             batch_ok = false;  // fall back to per-item exception capture below
           }
           for (std::size_t k = 0; k < owner.size(); ++k) {
             const std::size_t i = owner[k];
-            eval::EvalOutcome outcome;
             if (batch_ok) {
               results[i].x = std::move(batch[k]);
               results[i].metrics = std::move(batch_results[k].metrics);
               results[i].simulation_ok = batch_results[k].simulation_ok;
               copy_provenance(results[i], batch_results[k]);
-              outcome = outcomes[k];
             } else {
               results[i] = evaluate_record(problem, std::move(batch[k]));
-              outcome = eval::EvalService::last_outcome();
             }
-            worker_sim_s[i] = outcome.seconds;
-            worker_meta[i].seconds = outcome.seconds;
-            meta_from_outcome(worker_meta[i], outcome);
+            const double sim_s = results[i].call.seconds;
+            worker_sim_s[i] = sim_s;
+            worker_wall_s[i] = sim_s;
             // Not a ScopedSpan: the duration was measured inside the service
             // worker; a call-site span would time result bookkeeping instead.
-            spans.add(obs::Phase::Simulate, static_cast<int>(i), outcome.seconds);  // maopt-lint: allow(observer-bracketing)
+            spans.add(obs::Phase::Simulate, static_cast<int>(i), sim_s);  // maopt-lint: allow(observer-bracketing)
           }
         }
       }
@@ -440,7 +392,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
         }
         append_record(std::move(results[i]),
                       config_.shared_elite_set ? 0 : static_cast<std::ptrdiff_t>(i),
-                      worker_meta[i]);
+                      static_cast<int>(i), worker_wall_s[i]);
       }
       replay_pos += std::min(workers, replay_count - replay_pos);
     }

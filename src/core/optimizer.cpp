@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "circuits/resilient_problem.hpp"
 #include "eval/eval_service.hpp"
 
 namespace maopt::core {
@@ -100,9 +99,15 @@ void Optimizer::emit_run_finished(obs::RunTelemetry& telemetry, const RunHistory
 
 void Optimizer::emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& record,
                                 std::uint64_t index, std::uint64_t iteration, int lane,
-                                double seconds, const SizingProblem& problem,
-                                const eval::EvalOutcome* outcome) {
+                                double seconds) {
   if (!telemetry.enabled()) return;
+  const ckt::CallProvenance& call = record.call;
+  obs::RunCounters& counters = telemetry.counters();
+  counters.retries += call.retries;
+  if (call.served) {
+    ++(call.cache_hit ? counters.cache_hits : counters.cache_misses);
+    if (call.coalesced) ++counters.cache_coalesced;
+  }
   obs::SimulationCompleted event;
   event.index = index;
   event.iteration = iteration;
@@ -111,27 +116,10 @@ void Optimizer::emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& r
   event.feasible = record.feasible;
   event.fom = record.fom;
   event.seconds = seconds;
-  eval::EvalOutcome local;
-  if (outcome == nullptr && dynamic_cast<const eval::EvalService*>(&problem) != nullptr) {
-    local = eval::EvalService::last_outcome();
-    outcome = &local;
-  }
-  if (outcome != nullptr) {
-    event.cache_hit = outcome->cache_hit;
-    event.coalesced = outcome->coalesced;
-    event.retries = outcome->call.retries;
-    obs::RunCounters& counters = telemetry.counters();
-    counters.retries += outcome->call.retries;
-    ++(outcome->cache_hit ? counters.cache_hits : counters.cache_misses);
-    if (outcome->coalesced) ++counters.cache_coalesced;
-    if (!record.simulation_ok && outcome->call.failed)
-      event.failure_kind = ckt::to_string(outcome->call.last_kind);
-  } else if (dynamic_cast<const ckt::ResilientEvaluator*>(&problem) != nullptr) {
-    const auto call = ckt::ResilientEvaluator::last_call_stats();
-    event.retries = call.retries;
-    telemetry.counters().retries += call.retries;
-    if (!record.simulation_ok && call.failed) event.failure_kind = ckt::to_string(call.last_kind);
-  }
+  event.retries = call.retries;
+  event.cache_hit = call.cache_hit;
+  event.coalesced = call.coalesced;
+  if (!record.simulation_ok && call.failed) event.failure_kind = ckt::to_string(call.last_failure);
   telemetry.emit(event);
 }
 

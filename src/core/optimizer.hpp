@@ -11,10 +11,6 @@
 #include "core/history.hpp"
 #include "obs/observer.hpp"
 
-namespace maopt::eval {
-struct EvalOutcome;
-}
-
 namespace maopt::core {
 
 /// Cooperative run control: an external party (serve::OptDaemon, a signal
@@ -87,17 +83,6 @@ class Optimizer {
   RunHistory run(const SizingProblem& problem, const std::vector<SimRecord>& initial,
                  const FomEvaluator& fom, const RunOptions& options);
 
-  /// Legacy 5-argument form. Deprecated for one release (PR 9); every
-  /// in-tree caller now uses the RunOptions overload above.
-  [[deprecated("use run(problem, initial, fom, RunOptions) instead")]] RunHistory run(
-      const SizingProblem& problem, const std::vector<SimRecord>& initial, const FomEvaluator& fom,
-      std::uint64_t seed, std::size_t simulation_budget) {
-    RunOptions options;
-    options.seed = seed;
-    options.simulation_budget = simulation_budget;
-    return run(problem, initial, fom, options);
-  }
-
  protected:
   /// Optimizer-specific loop. Implementations emit IterationCompleted /
   /// SimulationCompleted / CheckpointWritten through `telemetry` and bump
@@ -115,17 +100,13 @@ class Optimizer {
                                const RunOptions& options);
   static void emit_run_finished(obs::RunTelemetry& telemetry, const RunHistory& history);
 
-  /// Emits SimulationCompleted for `record`. With `outcome == nullptr` the
-  /// per-call detail is probed from `problem`: an eval::EvalService yields
-  /// cache/coalesce flags + inner retry stats via last_outcome(), a bare
-  /// ckt::ResilientEvaluator yields retry stats via last_call_stats() — both
-  /// thread-local, so the call must run on the thread that performed the
-  /// evaluation. Batched callers pass the EvalOutcome captured per request
-  /// instead. No-op without an observer.
+  /// Emits SimulationCompleted for `record` and folds its per-call
+  /// provenance (record.call: retries, failure kind, cache hit / miss /
+  /// coalesced) into the run counters. The one emit site for every
+  /// optimizer and evaluation path. No-op without an observer.
   static void emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& record,
                               std::uint64_t index, std::uint64_t iteration, int lane,
-                              double seconds, const SizingProblem& problem,
-                              const eval::EvalOutcome* outcome = nullptr);
+                              double seconds);
 
   /// The warm-start records for this run: cached prior-run results of
   /// `problem` (when it is an eval::EvalService), annotated with `fom`,

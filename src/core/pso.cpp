@@ -100,7 +100,7 @@ RunHistory PsoOptimizer::do_run(const SizingProblem& problem,
       feasible_found = feasible_found || rec.feasible;
       history.records.push_back(std::move(rec));
       history.best_fom_after.push_back(best);
-      emit_simulation(telemetry, history.records.back(), sims, iteration, -1, sim_s, problem);
+      emit_simulation(telemetry, history.records.back(), sims, iteration, -1, sim_s);
       if (telemetry.enabled()) spans.push_back({obs::Phase::Simulate, -1, sim_s});
       ++sims;
     }

@@ -47,7 +47,7 @@ RunHistory RandomSearch::do_run(const SizingProblem& problem,
     history.records.push_back(std::move(rec));
     history.best_fom_after.push_back(best);
 
-    emit_simulation(telemetry, history.records.back(), i, i + 1, -1, sim_s, problem);
+    emit_simulation(telemetry, history.records.back(), i, i + 1, -1, sim_s);
     std::vector<obs::PhaseSpan> spans;
     if (telemetry.enabled()) spans.push_back({obs::Phase::Simulate, -1, sim_s});
     emit_iteration(telemetry, i + 1, i + 1, best, feasible_found, sim_s, std::move(spans));

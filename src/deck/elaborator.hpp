@@ -1,8 +1,8 @@
-// Deck elaboration: the full-strength SPICE frontend behind DeckProblem.
+// Deck elaboration: the SPICE frontend behind DeckProblem and minispice.
 //
-// Where spice::parse_netlist turns a flat element list into a Netlist,
-// elaboration handles everything a real deck throws at it and produces a
-// *symbolic* card list instead of a wired netlist:
+// Elaboration handles everything a real deck throws at it and produces a
+// *symbolic* card list instead of a wired netlist (build_nominal_netlist in
+// deck_problem.hpp wires one):
 //
 //   * .include / .lib       — resolved relative to the including file, with
 //                             canonical-path cycle detection and a depth cap,

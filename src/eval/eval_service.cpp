@@ -11,8 +11,9 @@ namespace maopt::eval {
 
 namespace {
 
-thread_local EvalOutcome t_last_outcome;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
-thread_local std::string t_tenant;        // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
+// The tenant scope is an input the caller sets, not a result.
+// NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
+thread_local std::string t_tenant;  // maopt-lint: allow(thread-local)
 
 std::string journal_path_for(const std::string& cache_dir) {
   if (cache_dir.empty()) return {};
@@ -55,7 +56,6 @@ const std::string& EvalService::current_tenant() { return t_tenant; }
 
 EvalService::EvalService(const ckt::SizingProblem& inner, EvalServiceConfig config)
     : inner_(&inner),
-      resilient_(dynamic_cast<const ckt::ResilientEvaluator*>(&inner)),
       config_(std::move(config)),
       problem_fp_(problem_fingerprint(inner)) {
   ResultCache::Config cache_config;
@@ -97,7 +97,6 @@ ResultCache& EvalService::cache_for(const std::string& tenant) const {
 }
 
 std::unique_ptr<ckt::EvalSession> EvalService::acquire_session() const {
-  if (!config_.use_sessions) return nullptr;
   {
     const MutexLock lock(sessions_mutex_);
     if (!sessions_.empty()) {
@@ -115,8 +114,6 @@ void EvalService::release_session(std::unique_ptr<ckt::EvalSession> session) con
   sessions_.push_back(std::move(session));
 }
 
-EvalOutcome EvalService::last_outcome() { return t_last_outcome; }
-
 EvalCounters EvalService::counters() const {
   EvalCounters c;
   c.requested = requested_.load(std::memory_order_relaxed);
@@ -128,22 +125,14 @@ EvalCounters EvalService::counters() const {
 }
 
 ckt::EvalResult EvalService::evaluate(const Vec& x) const {
-  t_last_outcome = EvalOutcome{};  // a throwing call must not leave a stale outcome
   const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, 1);
-  EvalOutcome outcome;
-  ckt::EvalResult result = evaluate_impl(x, ckt::ProcessVariation{}, cache_for(t_tenant), outcome);
-  t_last_outcome = outcome;
-  return result;
+  return evaluate_impl(x, ckt::ProcessVariation{}, cache_for(t_tenant));
 }
 
 ckt::EvalResult EvalService::evaluate_at(const Vec& x, const ckt::ProcessVariation& pv) const {
   ckt::validate_process_variation(pv);
-  t_last_outcome = EvalOutcome{};  // a throwing call must not leave a stale outcome
   const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, 1);
-  EvalOutcome outcome;
-  ckt::EvalResult result = evaluate_impl(x, pv, cache_for(t_tenant), outcome);
-  t_last_outcome = outcome;
-  return result;
+  return evaluate_impl(x, pv, cache_for(t_tenant));
 }
 
 std::vector<ckt::EvalResult> EvalService::evaluate_variants(
@@ -158,9 +147,8 @@ std::vector<ckt::EvalResult> EvalService::evaluate_variants(
   // A throwing variant must become a failed result, not a lost sweep: the
   // sweep engine owns partial-failure semantics and needs every slot filled.
   const auto run_one = [this, &x, &pvs, &results, &cache](std::size_t i) {
-    EvalOutcome outcome;
     try {
-      results[i] = evaluate_impl(x, pvs[i], cache, outcome);
+      results[i] = evaluate_impl(x, pvs[i], cache);
     } catch (...) {
       results[i].metrics = inner_->failure_metrics();
       results[i].simulation_ok = false;
@@ -181,7 +169,7 @@ std::vector<ckt::EvalResult> EvalService::evaluate_variants(
 }
 
 ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVariation& pv,
-                                           ResultCache& cache, EvalOutcome& outcome) const {
+                                           ResultCache& cache) const {
   requested_.fetch_add(1, std::memory_order_relaxed);
   // Per-variant content address: an enabled variation folds its fingerprint
   // into the problem fingerprint, so every corner / MC instance of a design
@@ -190,13 +178,16 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
       pv.enabled() ? problem_fp_ ^ variation_fingerprint(pv) : problem_fp_;
   const CacheKey key = make_cache_key(fp, x, config_.quant_epsilon);
 
-  // Fast path: already cached (in this request's tenant namespace).
-  if (auto metrics = cache.lookup(key)) {
+  const auto hit = [this](Vec metrics) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    outcome = EvalOutcome{};
-    outcome.cache_hit = true;
-    return ckt::EvalResult{std::move(*metrics), /*simulation_ok=*/true};
-  }
+    ckt::EvalResult result{std::move(metrics), /*simulation_ok=*/true};
+    result.call.served = true;
+    result.call.cache_hit = true;
+    return result;
+  };
+
+  // Fast path: already cached (in this request's tenant namespace).
+  if (auto metrics = cache.lookup(key)) return hit(std::move(*metrics));
 
   std::shared_ptr<InFlight> flight;
   bool producer = false;
@@ -205,12 +196,7 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
     // Re-check under the lock: a producer may have published between our
     // lookup above and here (publishers insert into the cache *before*
     // erasing their in-flight entry, so this pair of checks has no gap).
-    if (auto metrics = cache.lookup(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      outcome = EvalOutcome{};
-      outcome.cache_hit = true;
-      return ckt::EvalResult{std::move(*metrics), /*simulation_ok=*/true};
-    }
+    if (auto metrics = cache.lookup(key)) return hit(std::move(*metrics));
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
       flight = it->second;  // join the running simulation
@@ -225,12 +211,11 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
 
   if (!producer) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
+    // The producer's result, with its retry detail; no new simulation ran
+    // for this request.
     ckt::EvalResult result = flight->future.get();
-    // The producer wrote its outcome before resolving the promise, so this
-    // read is ordered-after the write.
-    outcome = flight->outcome;
-    outcome.coalesced = true;
-    outcome.seconds = 0.0;  // no new simulation ran for this request
+    result.call.coalesced = true;
+    result.call.seconds = 0.0;
     // Cross-tenant dedup: a consumer in a different namespace records the
     // shared result in its own cache, so its journal stays self-contained.
     if (result.simulation_ok && flight->published_to != &cache)
@@ -239,13 +224,12 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   }
 
   // Producer: run the simulation on this thread, publish, then resolve.
-  // Evaluation goes through a pooled session when enabled, so repeated
-  // same-topology designs reuse one prepared testbench and its solver
-  // workspaces instead of rebuilding everything per design.
+  // Evaluation goes through a pooled session, so repeated same-topology
+  // designs reuse one prepared testbench and its solver workspaces instead
+  // of rebuilding everything per design.
   simulations_.fetch_add(1, std::memory_order_relaxed);
-  // Pooled sessions are pinned to the nominal variation (the service-lifetime
-  // assumption use_sessions documents); varied evaluations go through the
-  // thread-safe variation-pinned primitive instead.
+  // Pooled sessions are pinned to the nominal variation; varied evaluations
+  // go through the thread-safe variation-pinned primitive instead.
   std::unique_ptr<ckt::EvalSession> session = pv.enabled() ? nullptr : acquire_session();
   ckt::EvalResult result;
   Stopwatch timer;
@@ -255,11 +239,6 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
     // Keep the waiters and the in-flight map consistent even when the inner
     // problem throws (possible when the service wraps a raw problem rather
     // than a ResilientEvaluator).
-    outcome = EvalOutcome{};
-    outcome.seconds = timer.elapsed_seconds();
-    outcome.call.failed = true;
-    outcome.call.last_kind = ckt::FailureKind::Exception;
-    flight->outcome = outcome;
     {
       const MutexLock lock(inflight_mutex_);
       inflight_.erase(key);
@@ -267,14 +246,12 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
     flight->promise.set_exception(std::current_exception());
     throw;
   }
-  outcome = EvalOutcome{};
-  outcome.seconds = timer.elapsed_seconds();
-  if (resilient_ != nullptr) outcome.call = ckt::ResilientEvaluator::last_call_stats();
+  result.call.served = true;
+  result.call.seconds = timer.elapsed_seconds();
 
   release_session(std::move(session));  // the throw path drops it instead
 
   if (result.simulation_ok) cache.insert(key, fp, x, result.metrics);
-  flight->outcome = outcome;
   flight->published_to = &cache;
   {
     const MutexLock lock(inflight_mutex_);
@@ -284,13 +261,8 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   return result;
 }
 
-std::vector<ckt::EvalResult> EvalService::evaluate_batch(
-    std::span<const Vec> xs, std::vector<EvalOutcome>* outcomes) const {
+std::vector<ckt::EvalResult> EvalService::evaluate_batch(std::span<const Vec> xs) const {
   std::vector<ckt::EvalResult> results(xs.size());
-  if (outcomes != nullptr) {
-    outcomes->clear();
-    outcomes->resize(xs.size());
-  }
   if (xs.empty()) return results;
   // This is the scheduler's throttle point: the whole batch is one grant, so
   // a greedy job waits here while other tenants' batches drain. Tenant and
@@ -298,20 +270,16 @@ std::vector<ckt::EvalResult> EvalService::evaluate_batch(
   const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, xs.size());
   ResultCache& cache = cache_for(t_tenant);
   if (xs.size() == 1) {
-    EvalOutcome outcome;
-    results[0] = evaluate_impl(xs[0], ckt::ProcessVariation{}, cache, outcome);
-    t_last_outcome = outcome;
-    if (outcomes != nullptr) (*outcomes)[0] = outcome;
+    results[0] = evaluate_impl(xs[0], ckt::ProcessVariation{}, cache);
     return results;
   }
 
   ThreadPool& pool = batch_pool();
   std::vector<std::future<void>> futures;
   futures.reserve(xs.size());
-  std::vector<EvalOutcome> local(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    futures.push_back(pool.submit([this, &xs, &results, &local, &cache, i] {
-      results[i] = evaluate_impl(xs[i], ckt::ProcessVariation{}, cache, local[i]);
+    futures.push_back(pool.submit([this, &xs, &results, &cache, i] {
+      results[i] = evaluate_impl(xs[i], ckt::ProcessVariation{}, cache);
     }));
   }
   // Wait on everything before rethrowing so the captured references above
@@ -325,7 +293,6 @@ std::vector<ckt::EvalResult> EvalService::evaluate_batch(
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-  if (outcomes != nullptr) *outcomes = std::move(local);
   return results;
 }
 

@@ -16,6 +16,10 @@
 //     internal ThreadPool, so the N_act proposals of one MA-Opt iteration
 //     (or an NS candidate ranking) become one parallel batch.
 //
+// Every result it returns says how it was served: the service marks
+// `call.served` and sets `call.cache_hit` / `call.coalesced` / `call.seconds`
+// (ckt::CallProvenance), keeping the inner ResilientEvaluator's retry detail.
+//
 // Budget semantics: a cache hit still *counts* as a simulation for budget
 // purposes — callers consume budget per request exactly as before — the
 // service only removes the wall-clock cost. This keeps trajectories
@@ -37,7 +41,6 @@
 
 #include "common/thread_annotations.hpp"
 
-#include "circuits/resilient_problem.hpp"
 #include "circuits/sizing_problem.hpp"
 #include "circuits/variation_sweep.hpp"
 #include "eval/result_cache.hpp"
@@ -61,12 +64,6 @@ struct EvalServiceConfig {
   /// empty disables persistence (memory-only cache).
   std::string cache_dir;
   double quant_epsilon = 0.0;  ///< design quantization for cache keys
-  /// Evaluate through pooled EvalSessions (see ckt::EvalSession): persistent
-  /// per-worker testbenches amortize netlist construction and solver
-  /// workspaces across same-topology designs. Sessions snapshot the inner
-  /// problem's process-variation settings when first created — the same
-  /// service-lifetime assumption the cache fingerprint already makes.
-  bool use_sessions = true;
 };
 
 /// Monotonic service totals. Invariants (validated by check_telemetry.py):
@@ -121,21 +118,9 @@ class ScopedTenant {
   std::string previous_;
 };
 
-/// Per-request telemetry, mirroring ResilientEvaluator::CallStats: how the
-/// result the caller just received was produced.
-struct EvalOutcome {
-  bool cache_hit = false;  ///< served from the result cache
-  bool coalesced = false;  ///< shared a concurrent producer's simulation
-  double seconds = 0.0;    ///< wall-clock of the underlying simulation; 0 when
-                           ///< no new simulation ran (hit or coalesced)
-  ckt::ResilientEvaluator::CallStats call;  ///< inner resilient stats (producer's)
-};
-
 class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
  public:
-  /// `inner` is not owned and must outlive this service. When `inner` is a
-  /// ResilientEvaluator its per-call retry/failure stats are captured on the
-  /// executing thread and surfaced through EvalOutcome::call.
+  /// `inner` is not owned and must outlive this service.
   explicit EvalService(const ckt::SizingProblem& inner, EvalServiceConfig config = {});
   ~EvalService() override;
 
@@ -153,7 +138,9 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
 
   /// Point path: cache lookup -> in-flight join -> simulate. Thread-safe
-  /// whenever the inner problem's evaluate() is.
+  /// whenever the inner problem's evaluate() is. Simulations run through
+  /// pooled EvalSessions: persistent per-worker testbenches amortize netlist
+  /// construction and solver workspaces across same-topology designs.
   ckt::EvalResult evaluate(const Vec& x) const override;
 
   /// Variation-pinned point path: same cache/dedup pipeline under a
@@ -178,15 +165,7 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
 
   /// Batched path: evaluates every design over the internal pool (duplicates
   /// within the batch coalesce onto one simulation). Results are positional.
-  /// When `outcomes` is non-null it is resized to xs.size() and filled with
-  /// the per-request telemetry — the batched analog of last_outcome().
-  std::vector<ckt::EvalResult> evaluate_batch(std::span<const Vec> xs,
-                                              std::vector<EvalOutcome>* outcomes = nullptr) const;
-
-  /// The EvalOutcome of the most recent evaluate() on the *calling thread*
-  /// (thread-local, shared across instances — the same idiom as
-  /// ResilientEvaluator::last_call_stats()).
-  static EvalOutcome last_outcome();
+  std::vector<ckt::EvalResult> evaluate_batch(std::span<const Vec> xs) const;
 
   EvalCounters counters() const;
 
@@ -223,27 +202,25 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   struct InFlight {
     std::promise<ckt::EvalResult> promise;
     std::shared_future<ckt::EvalResult> future;
-    EvalOutcome outcome;  ///< written by the producer before the promise resolves
-    ResultCache* published_to = nullptr;  ///< producer's namespace (same ordering)
+    ResultCache* published_to = nullptr;  ///< written by the producer before it resolves
   };
 
   /// The tenant's ResultCache (the default cache for the empty / an unknown
   /// name). References stay valid for the service's lifetime.
   ResultCache& cache_for(const std::string& tenant) const;
 
-  ckt::EvalResult evaluate_impl(const Vec& x, const ckt::ProcessVariation& pv, ResultCache& cache,
-                                EvalOutcome& outcome) const;
+  ckt::EvalResult evaluate_impl(const Vec& x, const ckt::ProcessVariation& pv,
+                                ResultCache& cache) const;
   ThreadPool& batch_pool() const;
 
   /// Session pool: producers check a session out for the duration of one
   /// simulation and return it afterwards, so concurrent batch workers each
-  /// drive their own persistent testbench. Returns null when sessions are
-  /// disabled. A session whose evaluation threw is discarded, not returned.
+  /// drive their own persistent testbench. Sessions are pinned to the
+  /// nominal variation. A session whose evaluation threw is discarded.
   std::unique_ptr<ckt::EvalSession> acquire_session() const;
   void release_session(std::unique_ptr<ckt::EvalSession> session) const;
 
   const ckt::SizingProblem* inner_;
-  const ckt::ResilientEvaluator* resilient_;  ///< inner_ when it is resilient
   EvalServiceConfig config_;
   std::uint64_t problem_fp_;
   std::unique_ptr<ResultCache> cache_;

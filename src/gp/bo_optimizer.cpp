@@ -128,7 +128,7 @@ core::RunHistory BoOptimizer::do_run(const core::SizingProblem& problem,
     if (!have_best) best = fom(problem.failure_metrics());
     history.best_fom_after.push_back(best);
 
-    emit_simulation(telemetry, history.records.back(), it, it + 1, -1, sim_s, problem);
+    emit_simulation(telemetry, history.records.back(), it, it + 1, -1, sim_s);
     std::vector<obs::PhaseSpan> spans;
     if (telemetry.enabled()) {
       spans.push_back({obs::Phase::CriticTrain, -1, fit_s});

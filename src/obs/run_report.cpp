@@ -37,16 +37,6 @@ void RunReport::on_run_finished(const RunFinished& event) {
   row.finished = true;
 }
 
-void RunReport::on_sweep_completed(const SweepCompleted& event) {
-  if (rows_.empty() || rows_.back().finished) rows_.emplace_back();
-  Row& row = rows_.back();
-  row.sweeps += 1;
-  row.sweep_variants_ok += event.variants_ok;
-  row.sweep_variants_failed += event.variants_failed;
-  row.sweep_variants_skipped += event.variants_skipped;
-  if (event.degraded) row.sweeps_degraded += 1;
-}
-
 std::string RunReport::table() const {
   if (rows_.empty()) return {};
   std::string out;

@@ -31,13 +31,6 @@ class RunReport final : public RunObserver {
     /// equals elapsed time, on N cores it is the aggregate lane time).
     std::array<double, kNumPhases> phase_seconds{};
     RunCounters counters;
-    /// Sweep tallies (corner / Monte Carlo brackets observed on this row);
-    /// all zero for runs that never routed through a sweep engine.
-    std::uint64_t sweeps = 0;
-    std::uint64_t sweep_variants_ok = 0;
-    std::uint64_t sweep_variants_failed = 0;
-    std::uint64_t sweep_variants_skipped = 0;
-    std::uint64_t sweeps_degraded = 0;
     bool finished = false;  ///< run_finished arrived (row is complete)
 
     double phase(Phase p) const { return phase_seconds[static_cast<std::size_t>(p)]; }
@@ -52,7 +45,6 @@ class RunReport final : public RunObserver {
   void on_run_started(const RunStarted& event) override;
   void on_iteration_completed(const IterationCompleted& event) override;
   void on_run_finished(const RunFinished& event) override;
-  void on_sweep_completed(const SweepCompleted& event) override;
 
  private:
   std::vector<Row> rows_;

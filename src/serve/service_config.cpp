@@ -32,8 +32,6 @@ void ServiceConfig::validate() const {
     fail("sweep.yield_target", "must be in (0, 1]");
   if (!(sweep.min_ok_fraction >= 0.0) || sweep.min_ok_fraction > 1.0)
     fail("sweep.min_ok_fraction", "must be in [0, 1]");
-  if (sweep.breaker.trip_after < 0) fail("sweep.breaker.trip_after", "must be >= 0");
-  if (sweep.breaker.cooldown < 1) fail("sweep.breaker.cooldown", "must be >= 1");
 }
 
 eval::EvalServiceConfig ServiceConfig::eval_config() const {
@@ -43,7 +41,6 @@ eval::EvalServiceConfig ServiceConfig::eval_config() const {
   c.memory_capacity = memory_capacity;
   c.cache_dir = cache_dir;
   c.quant_epsilon = quant_epsilon;
-  c.use_sessions = use_sessions;
   return c;
 }
 

@@ -36,7 +36,6 @@ struct ServiceConfig {
   std::size_t memory_capacity = 4096;
   std::string cache_dir;       ///< persistent journal directory; empty = memory-only
   double quant_epsilon = 0.0;  ///< cache-key design quantization
-  bool use_sessions = true;
 
   // --- ResilientEvaluator knobs (ckt::ResilientConfig); applied only when
   // --- `resilient` is set, otherwise the problem is wrapped bare. ---
@@ -72,7 +71,6 @@ class ServiceConfig::Builder {
   Builder& memory_capacity(std::size_t n) { config_.memory_capacity = n; return *this; }
   Builder& cache_dir(std::string dir) { config_.cache_dir = std::move(dir); return *this; }
   Builder& quant_epsilon(double eps) { config_.quant_epsilon = eps; return *this; }
-  Builder& sessions(bool on) { config_.use_sessions = on; return *this; }
 
   Builder& resilient(bool on) { config_.resilient = on; return *this; }
   Builder& deadline_seconds(double s) { config_.deadline_seconds = s; return *this; }

@@ -15,6 +15,12 @@ Vec ota_reference() {
   return {1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4};
 }
 
+RobustConfig with_corners(std::vector<ProcessCorner> corners) {
+  RobustConfig config;
+  config.corners = std::move(corners);
+  return config;
+}
+
 TEST(RobustProblem, RejectsVariationUnawareInner) {
   ConstrainedQuadratic analytic(3);
   EXPECT_THROW(RobustProblem robust(analytic), std::invalid_argument);
@@ -22,7 +28,7 @@ TEST(RobustProblem, RejectsVariationUnawareInner) {
 
 TEST(RobustProblem, RejectsEmptyCornerSet) {
   TwoStageOta ota;
-  EXPECT_THROW(RobustProblem robust(ota, {}), std::invalid_argument);
+  EXPECT_THROW(RobustProblem robust(ota, with_corners({})), std::invalid_argument);
 }
 
 TEST(RobustProblem, DelegatesProblemShape) {
@@ -36,7 +42,7 @@ TEST(RobustProblem, DelegatesProblemShape) {
 
 TEST(RobustProblem, TtOnlyMatchesNominal) {
   TwoStageOta ota;
-  RobustProblem robust(ota, {ProcessCorner::TT});
+  RobustProblem robust(ota, with_corners({ProcessCorner::TT}));
   const Vec x = ota.clip(ota_reference());
   const auto nominal = ota.evaluate(x);
   const auto robust_r = robust.evaluate(x);
@@ -86,10 +92,10 @@ TEST(RobustProblem, FeasibleRobustDesignIsFeasibleAtEveryCorner) {
 
 TEST(RobustProblem, RejectsDuplicateCorners) {
   TwoStageOta ota;
-  RobustConfig config;
-  config.corners = {ProcessCorner::TT, ProcessCorner::FF, ProcessCorner::FF};
-  EXPECT_THROW(RobustProblem robust(ota, config), std::invalid_argument);
-  EXPECT_THROW(RobustProblem robust(ota, {ProcessCorner::SS, ProcessCorner::SS}),
+  EXPECT_THROW(RobustProblem robust(
+                   ota, with_corners({ProcessCorner::TT, ProcessCorner::FF, ProcessCorner::FF})),
+               std::invalid_argument);
+  EXPECT_THROW(RobustProblem robust(ota, with_corners({ProcessCorner::SS, ProcessCorner::SS})),
                std::invalid_argument);
 }
 
@@ -109,10 +115,6 @@ TEST(RobustProblem, ConfigCtorSelectsPolicy) {
   EXPECT_EQ(robust.num_corners(), 5u);
   EXPECT_EQ(robust.policy().aggregation, RobustAggregation::KSigma);
   EXPECT_EQ(robust.policy().failure_policy, SweepFailurePolicy::PenalizeFailedVariant);
-  // Legacy corner-list ctor keeps the original fail-fast semantics.
-  RobustProblem legacy(p, {ProcessCorner::TT, ProcessCorner::FF});
-  EXPECT_EQ(legacy.policy().failure_policy, SweepFailurePolicy::FailFast);
-  EXPECT_EQ(legacy.policy().aggregation, RobustAggregation::WorstCase);
 }
 
 TEST(RobustProblem, CornerVariantsAreLabeled) {

@@ -7,6 +7,7 @@
 
 #include "spice/ac_analysis.hpp"
 #include "spice/dc_analysis.hpp"
+#include "spice/devices.hpp"
 #include "spice/measure.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/netlist.hpp"
@@ -202,6 +203,22 @@ R1 in 0 1k
 )",
                                       "param R2VAL lower=1 upper=2\nminimize V1\n"),
                std::invalid_argument);
+}
+
+TEST(DeckProblem, NonFiniteSpecNumbersAreParseErrorsWithLocation) {
+  // Each line is the third of its spec; std::stod alone would accept all of them.
+  for (const char* bad : {"param R2VAL lower=100 upper=inf", "constraint VOUT >= nan",
+                          "minimize {1 - VOUT} weight=nan", "param R2VAL lower=1e308k upper=1"}) {
+    const std::string spec =
+        std::string("# spec\nconstraint VOUT <= 2\n") + bad + "\nminimize {1}\n";
+    try {
+      parse_spec_text(spec, "amp.spec");
+      FAIL() << "accepted: " << bad;
+    } catch (const spice::ParseError& e) {
+      EXPECT_EQ(e.file(), "amp.spec") << bad;
+      EXPECT_EQ(e.line(), 3) << bad;
+    }
+  }
 }
 
 TEST(DeckProblem, DesignableDrivingFixedFieldRejected) {

@@ -97,17 +97,17 @@ TEST_F(ServiceFixture, PointPathHitsOnRepeat) {
   const Vec x = {0.1, 0.2, 0.3};
 
   const auto first = service.evaluate(x);
-  const auto miss = EvalService::last_outcome();
   EXPECT_TRUE(first.simulation_ok);
-  EXPECT_FALSE(miss.cache_hit);
-  EXPECT_FALSE(miss.coalesced);
-  EXPECT_GE(miss.seconds, 0.0);
+  EXPECT_TRUE(first.call.served);
+  EXPECT_FALSE(first.call.cache_hit);
+  EXPECT_FALSE(first.call.coalesced);
+  EXPECT_GE(first.call.seconds, 0.0);
 
   const auto second = service.evaluate(x);
-  const auto hit = EvalService::last_outcome();
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_FALSE(hit.coalesced);
-  EXPECT_EQ(hit.seconds, 0.0);
+  EXPECT_TRUE(second.call.served);
+  EXPECT_TRUE(second.call.cache_hit);
+  EXPECT_FALSE(second.call.coalesced);
+  EXPECT_EQ(second.call.seconds, 0.0);
   EXPECT_EQ(second.metrics, first.metrics);
 
   EXPECT_EQ(counting.calls.load(), 1);
@@ -175,10 +175,8 @@ TEST_F(ServiceFixture, BatchIsPositionalAndDeduplicatesWithinBatch) {
   const Vec c = {0.7, 0.8, 0.9};
   const std::vector<Vec> xs = {a, b, a, c, b, a};
 
-  std::vector<EvalOutcome> outcomes;
-  const auto results = service.evaluate_batch(xs, &outcomes);
+  const auto results = service.evaluate_batch(xs);
   ASSERT_EQ(results.size(), xs.size());
-  ASSERT_EQ(outcomes.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_TRUE(results[i].simulation_ok);
     EXPECT_EQ(results[i].metrics, quad.evaluate(xs[i]).metrics) << "position " << i;
@@ -194,7 +192,7 @@ TEST_F(ServiceFixture, BatchIsPositionalAndDeduplicatesWithinBatch) {
   // Exactly three requests produced a fresh simulation; the duplicates were
   // served by the cache or a concurrent producer (scheduling decides which).
   std::size_t fresh = 0;
-  for (const auto& o : outcomes) fresh += (!o.cache_hit && !o.coalesced) ? 1 : 0;
+  for (const auto& r : results) fresh += (!r.call.cache_hit && !r.call.coalesced) ? 1 : 0;
   EXPECT_EQ(fresh, 3u);
 }
 
@@ -202,12 +200,10 @@ TEST_F(ServiceFixture, BatchHandlesEmptyAndSingle) {
   EvalService service(counting);
   EXPECT_TRUE(service.evaluate_batch({}).empty());
   const std::vector<Vec> one = {{0.1, 0.2, 0.3}};
-  std::vector<EvalOutcome> outcomes;
-  const auto results = service.evaluate_batch(one, &outcomes);
+  const auto results = service.evaluate_batch(one);
   ASSERT_EQ(results.size(), 1u);
-  ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(results[0].metrics, quad.evaluate(one[0]).metrics);
-  EXPECT_FALSE(outcomes[0].cache_hit);
+  EXPECT_FALSE(results[0].call.cache_hit);
 }
 
 // Satellite #3: N threads requesting overlapping keys must coalesce onto
@@ -232,15 +228,10 @@ TEST_F(ServiceFixture, ConcurrentRequestsCoalesceOntoOneSimulation) {
   while (!producer_entered.load(std::memory_order_acquire)) std::this_thread::yield();
 
   std::vector<ckt::EvalResult> waiter_results(kWaiters);
-  std::vector<EvalOutcome> waiter_outcomes(kWaiters);
   std::vector<std::thread> waiters;
   waiters.reserve(kWaiters);
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&, i] {
-      waiter_results[i] = service.evaluate(x);
-      waiter_outcomes[i] = EvalService::last_outcome();
-    });
-  }
+  for (int i = 0; i < kWaiters; ++i)
+    waiters.emplace_back([&, i] { waiter_results[i] = service.evaluate(x); });
   for (auto& t : waiters) t.join();
   producer.join();
   counting.hook = nullptr;
@@ -248,10 +239,11 @@ TEST_F(ServiceFixture, ConcurrentRequestsCoalesceOntoOneSimulation) {
   EXPECT_EQ(counting.calls.load(), 1) << "exactly one simulation for the shared key";
   for (int i = 0; i < kWaiters; ++i) {
     EXPECT_EQ(waiter_results[i].metrics, producer_result.metrics);
-    EXPECT_TRUE(waiter_outcomes[i].coalesced);
-    EXPECT_FALSE(waiter_outcomes[i].cache_hit);
-    EXPECT_EQ(waiter_outcomes[i].seconds, 0.0);
+    EXPECT_TRUE(waiter_results[i].call.coalesced);
+    EXPECT_FALSE(waiter_results[i].call.cache_hit);
+    EXPECT_EQ(waiter_results[i].call.seconds, 0.0);
   }
+  EXPECT_FALSE(producer_result.call.coalesced);
   const auto c = service.counters();
   EXPECT_EQ(c.requested, static_cast<std::uint64_t>(kWaiters) + 1);
   EXPECT_EQ(c.hits, 0u);
@@ -289,14 +281,20 @@ TEST_F(ServiceFixture, ManyThreadsManyKeysSimulateEachKeyOnce) {
   EXPECT_LE(c.coalesced, c.misses);
 }
 
-TEST_F(ServiceFixture, CapturesResilientCallStats) {
-  ckt::ResilientEvaluator resilient(quad);
+TEST_F(ServiceFixture, CapturesResilientCallProvenance) {
+  ckt::FaultInjectionConfig faults;
+  faults.throw_rate = 1.0;  // every attempt throws: the call exhausts its retries
+  const ckt::FaultInjectingProblem faulty(quad, faults);
+  ckt::ResilientConfig rcfg;
+  rcfg.max_retries = 2;
+  const ckt::ResilientEvaluator resilient(faulty, rcfg);
   EvalService service(resilient);
-  const Vec x = {0.2, 0.2, 0.2};
-  EXPECT_TRUE(service.evaluate(x).simulation_ok);
-  const auto outcome = EvalService::last_outcome();
-  EXPECT_FALSE(outcome.call.failed);
-  EXPECT_EQ(outcome.call.retries, 0u);
+  const auto result = service.evaluate({0.2, 0.2, 0.2});
+  EXPECT_FALSE(result.simulation_ok);
+  EXPECT_TRUE(result.call.served);
+  EXPECT_TRUE(result.call.failed);
+  EXPECT_EQ(result.call.retries, 2u);
+  EXPECT_EQ(result.call.last_failure, ckt::FailureKind::Exception);
   EXPECT_EQ(service.fingerprint(), problem_fingerprint(quad))
       << "fingerprint must see through the resilient wrapper";
 }
@@ -374,22 +372,10 @@ TEST_F(ServiceFixture, SessionPoolCreatesAtMostOneSessionPerWorker) {
   EXPECT_EQ(c.simulations, c.misses - c.coalesced);
 }
 
-TEST_F(ServiceFixture, SessionsDisabledNeverCreatesSessions) {
-  SessionCountingProblem problem(quad);
-  EvalServiceConfig config;
-  config.use_sessions = false;
-  EvalService service(problem, config);
-  service.evaluate({0.1, 0.2, 0.3});
-  std::vector<Vec> designs = {{0.3, 0.2, 0.1}, {0.4, 0.2, 0.1}};
-  service.evaluate_batch(designs);
-  EXPECT_EQ(problem.sessions_created.load(), 0);
-}
-
 TEST(EvalServiceSessions, CircuitBatchThroughSessionsMatchesPointPath) {
   ckt::TwoStageOta ota;
   EvalServiceConfig config;
   config.num_threads = 2;
-  ASSERT_TRUE(config.use_sessions);  // default on
   EvalService service(ota, config);
 
   maopt::Rng rng(123);
@@ -415,9 +401,7 @@ TEST(EvalServiceSessions, CircuitBatchThroughSessionsMatchesPointPath) {
 TEST(ServiceSweep, EvaluateAtUsesPerVariantCacheKeys) {
   ckt::testing::VariedAnalytic varied;
   CountingProblem counting(varied);
-  EvalServiceConfig config;
-  config.use_sessions = false;  // CountingProblem counts evaluate() only
-  EvalService service(counting, config);
+  EvalService service(counting);
 
   const Vec x{0.4, 0.6};
   ckt::ProcessVariation corner;

@@ -34,7 +34,6 @@ TEST(ServiceConfig, BuilderSetsEveryKnob) {
                                    .memory_capacity(17)
                                    .cache_dir("some/dir")
                                    .quant_epsilon(1e-9)
-                                   .sessions(false)
                                    .resilient(true)
                                    .deadline_seconds(2.5)
                                    .max_retries(4)
@@ -47,7 +46,6 @@ TEST(ServiceConfig, BuilderSetsEveryKnob) {
   EXPECT_EQ(config.memory_capacity, 17u);
   EXPECT_EQ(config.cache_dir, "some/dir");
   EXPECT_EQ(config.quant_epsilon, 1e-9);
-  EXPECT_FALSE(config.use_sessions);
   EXPECT_TRUE(config.resilient);
   EXPECT_EQ(config.sweep.yield_target, 0.9);
 
@@ -55,7 +53,7 @@ TEST(ServiceConfig, BuilderSetsEveryKnob) {
   EXPECT_EQ(eval.num_threads, 3u);
   EXPECT_EQ(eval.memory_capacity, 17u);
   EXPECT_EQ(eval.cache_dir, "some/dir");
-  EXPECT_FALSE(eval.use_sessions);
+  EXPECT_EQ(eval.quant_epsilon, 1e-9);
 
   const ckt::ResilientConfig resilient = config.resilient_config();
   EXPECT_EQ(resilient.deadline_seconds, 2.5);
@@ -105,14 +103,6 @@ TEST(ServiceConfig, RejectsEachBadKnobByName) {
   config = {};
   config.sweep.min_ok_fraction = -0.1;
   expect_rejects(config, "sweep.min_ok_fraction");
-
-  config = {};
-  config.sweep.breaker.trip_after = -1;
-  expect_rejects(config, "sweep.breaker.trip_after");
-
-  config = {};
-  config.sweep.breaker.cooldown = 0;
-  expect_rejects(config, "sweep.breaker.cooldown");
 }
 
 TEST(ServiceConfig, BuilderBuildThrowsOnInvalid) {

@@ -5,23 +5,37 @@
 #include "spice/dc_analysis.hpp"
 #include "spice/dc_sweep.hpp"
 #include "spice/devices.hpp"
-#include "spice/parser.hpp"
+#include "spice/mosfet.hpp"
 
 namespace maopt::spice {
 namespace {
 
+/// Labelled NMOS common-source stage: VDD (1.8 V) -> RL -> out, M1 with its
+/// gate on VIN, source and bulk grounded.
+struct CommonSource {
+  CommonSource(double rl, double w, double l, double vin_dc) {
+    const int vdd = n.node("vdd");
+    const int in = n.node("in");
+    out = n.node("out");
+    n.set_label(n.add<VSource>(vdd, kGround, Waveform::dc(1.8)), "VDD");
+    vin = n.add<VSource>(in, kGround, Waveform::dc(vin_dc));
+    n.set_label(vin, "VIN");
+    n.set_label(n.add<Resistor>(vdd, out, rl), "RL");
+    n.set_label(n.add<Mosfet>(out, in, kGround, kGround, MosModel::nmos_180(), w, l), "M1");
+    n.prepare();
+  }
+
+  Netlist n;
+  VSource* vin = nullptr;
+  int out = kGround;
+};
+
 TEST(OpReport, NamesRegionsAndCurrentsFromParsedDeck) {
-  auto parsed = parse_netlist(R"(
-.model n180 NMOS
-VDD vdd 0 1.8
-VIN in 0 0.7
-RL vdd out 5k
-M1 out in 0 0 n180 W=20u L=1u
-)");
+  CommonSource stage(5e3, 20e-6, 1e-6, 0.7);
   DcAnalysis dc;
-  const auto op = dc.solve(parsed.netlist);
+  const auto op = dc.solve(stage.n);
   ASSERT_TRUE(op.converged);
-  const std::string report = operating_point_report(parsed.netlist, op.x);
+  const std::string report = operating_point_report(stage.n, op.x);
   EXPECT_NE(report.find("M1"), std::string::npos);
   EXPECT_NE(report.find("saturation"), std::string::npos);
   EXPECT_NE(report.find("RL"), std::string::npos);
@@ -70,19 +84,12 @@ TEST(DcSweepAnalysis, DividerTransferIsLinear) {
 TEST(DcSweepAnalysis, WarmStartTracksNonlinearCurve) {
   // MOS inverter transfer curve: must be monotone decreasing and converged
   // at every point thanks to warm starting.
-  auto parsed = parse_netlist(R"(
-.model n180 NMOS
-VDD vdd 0 1.8
-VIN in 0 0
-RL vdd out 10k
-M1 out in 0 0 n180 W=10u L=0.5u
-)");
-  auto* vin = parsed.device<VSource>("VIN");
+  CommonSource stage(10e3, 10e-6, 0.5e-6, 0.0);
   DcSweep sweep;
   const auto grid = DcSweep::linear_grid(0.0, 1.8, 19);
-  const auto result = sweep.run(parsed.netlist, grid, [&](double v) { vin->set_dc(v); });
+  const auto result = sweep.run(stage.n, grid, [&](double v) { stage.vin->set_dc(v); });
   ASSERT_TRUE(result.all_converged);
-  const auto curve = result.node_curve(parsed.netlist.find_node("out"));
+  const auto curve = result.node_curve(stage.out);
   for (std::size_t k = 1; k < curve.size(); ++k) EXPECT_LE(curve[k], curve[k - 1] + 1e-9);
 }
 

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "deck/deck_problem.hpp"
+#include "deck/elaborator.hpp"
 #include "spice/ac_analysis.hpp"
 #include "spice/dc_analysis.hpp"
+#include "spice/devices.hpp"
+#include "spice/mosfet.hpp"
 
 namespace maopt::spice {
 namespace {
@@ -12,6 +19,10 @@ TEST(SpiceValue, PlainNumbers) {
   EXPECT_DOUBLE_EQ(parse_spice_value("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(parse_spice_value("-3"), -3.0);
   EXPECT_DOUBLE_EQ(parse_spice_value("1e-9"), 1e-9);
+  EXPECT_DOUBLE_EQ(parse_spice_value("+2"), 2.0);
+  EXPECT_DOUBLE_EQ(parse_spice_value(".5u"), 0.5e-6);
+  EXPECT_DOUBLE_EQ(parse_spice_value("5."), 5.0);
+  EXPECT_DOUBLE_EQ(parse_spice_value("1e308"), 1e308);
 }
 
 TEST(SpiceValue, EngineeringSuffixes) {
@@ -32,9 +43,12 @@ TEST(SpiceValue, UnitLettersAfterSuffixIgnored) {
 }
 
 TEST(SpiceValue, MalformedThrows) {
-  EXPECT_THROW(parse_spice_value(""), std::invalid_argument);
-  EXPECT_THROW(parse_spice_value("abc"), std::invalid_argument);
-  EXPECT_THROW(parse_spice_value("1.5x"), std::invalid_argument);
+  // std::stod alone accepts the non-finite, hex and overflowing tokens; an
+  // 'e' without exponent digits is a (bad) suffix.
+  for (const char* token : {"", "abc", "1.5x", "nan", "NaN", "inf", "-inf", "infinity", "+Inf",
+                            "0x10", "0x1p3", "-", ".", "e5", ".e1", " 1", "1e", "1e+", "1e308k",
+                            "-1e308meg", "1e400"})
+    EXPECT_THROW(parse_spice_value(token), std::invalid_argument) << token;
 }
 
 TEST(SpiceValue, MegVersusMilli) {
@@ -54,7 +68,7 @@ TEST(SpiceValue, MilSuffix) {
 }
 
 TEST(SpiceValue, ExponentThenSuffix) {
-  // stod consumes the exponent; the engineering suffix still multiplies.
+  // The decimal prefix includes the exponent; the suffix still multiplies.
   EXPECT_DOUBLE_EQ(parse_spice_value("1.5e2u"), 1.5e2 * 1e-6);
   EXPECT_DOUBLE_EQ(parse_spice_value("1e3k"), 1e6);
   EXPECT_DOUBLE_EQ(parse_spice_value("2E-1m"), 2e-4);
@@ -66,107 +80,127 @@ TEST(SpiceValue, NegativeValuesKeepSuffix) {
   EXPECT_DOUBLE_EQ(parse_spice_value("-100f"), -100e-15);
 }
 
+/// A deck text elaborated and built at its nominal parameters: the path every
+/// deck takes into the simulator (deck::build_nominal_netlist).
+struct BuiltDeck {
+  explicit BuiltDeck(const std::string& text) : deck(deck::elaborate_deck_text(text)) {
+    deck::build_nominal_netlist(deck, netlist);
+  }
+
+  /// The device whose element card is `name` (upper-cased), or null.
+  template <typename T>
+  T* device(const std::string& name) const {
+    for (const auto& d : netlist.devices())
+      if (netlist.label(d.get()) == name) return dynamic_cast<T*>(d.get());
+    return nullptr;
+  }
+
+  deck::ElaboratedDeck deck;
+  Netlist netlist;
+};
+
 TEST(Parser, ResistorDividerDeck) {
-  const auto parsed = parse_netlist(R"(
+  BuiltDeck built(R"(
 * simple divider
 V1 vin 0 DC 10
 R1 vin mid 1k
 R2 mid 0 3k
 )");
-  EXPECT_EQ(parsed.devices.size(), 3u);
-  Netlist& n = const_cast<Netlist&>(parsed.netlist);
+  EXPECT_EQ(built.netlist.devices().size(), 3u);
   DcAnalysis dc;
-  const auto r = dc.solve(n);
+  const auto r = dc.solve(built.netlist);
   ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(Netlist::voltage(r.x, parsed.netlist.find_node("mid")), 7.5, 1e-6);
+  EXPECT_NEAR(Netlist::voltage(r.x, built.netlist.find_node("mid")), 7.5, 1e-6);
 }
 
 TEST(Parser, BareValueSourceShorthand) {
-  const auto parsed = parse_netlist("V1 a 0 1.8\nR1 a 0 1k\n");
-  Netlist& n = const_cast<Netlist&>(parsed.netlist);
+  BuiltDeck built("V1 a 0 1.8\nR1 a 0 1k\n");
   DcAnalysis dc;
-  const auto r = dc.solve(n);
+  const auto r = dc.solve(built.netlist);
   ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(Netlist::voltage(r.x, parsed.netlist.find_node("a")), 1.8, 1e-9);
+  EXPECT_NEAR(Netlist::voltage(r.x, built.netlist.find_node("a")), 1.8, 1e-9);
 }
 
 TEST(Parser, AcMagnitudeAndRcResponse) {
-  auto parsed = parse_netlist(R"(
+  BuiltDeck built(R"(
 V1 in 0 DC 0 AC 1
 R1 in out 1k
 C1 out 0 1u
 )");
-  Vec op(parsed.netlist.system_size(), 0.0);
+  Vec op(built.netlist.system_size(), 0.0);
   AcAnalysis ac;
   const double fc = 1.0 / (2.0 * 3.14159265358979 * 1e-3);
-  const auto sweep = ac.run(parsed.netlist, op, {fc});
-  EXPECT_NEAR(std::abs(sweep.voltage(0, parsed.netlist.find_node("out"))), 1.0 / std::sqrt(2.0),
+  const auto sweep = ac.run(built.netlist, op, {fc});
+  EXPECT_NEAR(std::abs(sweep.voltage(0, built.netlist.find_node("out"))), 1.0 / std::sqrt(2.0),
               1e-4);
 }
 
 TEST(Parser, MosfetWithModelCard) {
-  auto parsed = parse_netlist(R"(
+  BuiltDeck built(R"(
 .model mynmos NMOS VTO=0.5 KP=200u
 Vd d 0 1.8
 Vg g 0 1.0
 M1 d g 0 0 mynmos W=10u L=1u
 )");
   DcAnalysis dc;
-  const auto r = dc.solve(parsed.netlist);
+  const auto r = dc.solve(built.netlist);
   ASSERT_TRUE(r.converged);
-  auto* m1 = parsed.device<Mosfet>("M1");
+  const auto* m1 = built.device<Mosfet>("M1");
+  ASSERT_NE(m1, nullptr);
   // vov = 0.5, k = 200u*10 = 2m, lambda = 0.08 (default nmos_180 lambda_l/L)
   const double expect = 0.5 * 2e-3 * 0.25 * (1 + 0.08 * 1.8);
   EXPECT_NEAR(m1->drain_current(r.x), expect, 1e-8);
 }
 
 TEST(Parser, PulseAndPwlSources) {
-  auto parsed = parse_netlist(R"(
+  BuiltDeck built(R"(
 V1 a 0 PULSE(0 1 1u 10n 10n 2u 10u)
 V2 b 0 PWL(0 0 1u 0 2u 5)
 R1 a 0 1k
 R2 b 0 1k
 )");
-  auto* v1 = parsed.device<VSource>("V1");
+  const auto* v1 = built.device<VSource>("V1");
+  ASSERT_NE(v1, nullptr);
   EXPECT_DOUBLE_EQ(v1->waveform().value(0.5e-6), 0.0);
   EXPECT_DOUBLE_EQ(v1->waveform().value(2e-6), 1.0);
-  auto* v2 = parsed.device<VSource>("V2");
+  const auto* v2 = built.device<VSource>("V2");
+  ASSERT_NE(v2, nullptr);
   EXPECT_DOUBLE_EQ(v2->waveform().value(1.5e-6), 2.5);
 }
 
 TEST(Parser, VcvsAndInductor) {
-  auto parsed = parse_netlist(R"(
+  BuiltDeck built(R"(
 V1 in 0 2
 E1 out 0 in 0 5
 L1 out lx 1m
 R1 lx 0 1k
 )");
   DcAnalysis dc;
-  const auto r = dc.solve(parsed.netlist);
+  const auto r = dc.solve(built.netlist);
   ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(Netlist::voltage(r.x, parsed.netlist.find_node("out")), 10.0, 1e-6);
-  EXPECT_NEAR(Netlist::voltage(r.x, parsed.netlist.find_node("lx")), 10.0, 1e-6);
+  EXPECT_NEAR(Netlist::voltage(r.x, built.netlist.find_node("out")), 10.0, 1e-6);
+  EXPECT_NEAR(Netlist::voltage(r.x, built.netlist.find_node("lx")), 10.0, 1e-6);
 }
 
 TEST(Parser, CommentsAndBlankLinesIgnored) {
-  const auto parsed = parse_netlist(R"(
+  const BuiltDeck built(R"(
 * header comment
 
 R1 a 0 1k ; trailing comment
 * another
 )");
-  EXPECT_EQ(parsed.devices.size(), 1u);
+  EXPECT_EQ(built.netlist.devices().size(), 1u);
 }
 
 TEST(Parser, CaseInsensitiveElementNames) {
-  const auto parsed = parse_netlist("r1 a 0 1k\nc1 a 0 1p\n");
-  EXPECT_NE(parsed.devices.find("R1"), parsed.devices.end());
-  EXPECT_NE(parsed.devices.find("C1"), parsed.devices.end());
+  const BuiltDeck built("r1 a 0 1k\nc1 a 0 1p\n");
+  EXPECT_NE(built.device<Resistor>("R1"), nullptr);
+  EXPECT_NE(built.device<Capacitor>("C1"), nullptr);
 }
 
 TEST(Parser, ErrorsCarryLineNumbers) {
   try {
-    parse_netlist("R1 a 0 1k\nQ1 a b c\n");
+    deck::elaborate_deck_text("R1 a 0 1k\nQ1 a b c\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
@@ -174,52 +208,54 @@ TEST(Parser, ErrorsCarryLineNumbers) {
 }
 
 TEST(Parser, UnknownModelIsError) {
-  EXPECT_THROW(parse_netlist("M1 d g 0 0 nosuch W=1u L=1u\n"), ParseError);
+  EXPECT_THROW(BuiltDeck("M1 d g 0 0 nosuch W=1u L=1u\n"), std::invalid_argument);
 }
 
 TEST(Parser, MissingModelCardFieldsError) {
-  EXPECT_THROW(parse_netlist(".model m NMOS FOO=1\n"), ParseError);
-  EXPECT_THROW(parse_netlist(".model m BJT\n"), ParseError);
+  // Model parameters are bound when the netlist is built; the type at once.
+  EXPECT_THROW(BuiltDeck(".model m NMOS FOO=1\n"), std::invalid_argument);
+  EXPECT_THROW(BuiltDeck(".model m BJT\n"), ParseError);
 }
 
 TEST(Parser, MalformedElementArityError) {
-  EXPECT_THROW(parse_netlist("R1 a 0\n"), ParseError);
-  EXPECT_THROW(parse_netlist("E1 a 0 b\n"), ParseError);
+  EXPECT_THROW(deck::elaborate_deck_text("R1 a 0\n"), ParseError);
+  EXPECT_THROW(deck::elaborate_deck_text("E1 a 0 b\n"), ParseError);
 }
 
 TEST(Parser, DeviceLookupTypeMismatch) {
-  const auto parsed = parse_netlist("R1 a 0 1k\n");
-  EXPECT_THROW(parsed.device<Capacitor>("R1"), std::runtime_error);
-  EXPECT_THROW(parsed.device<Resistor>("R9"), std::runtime_error);
+  const BuiltDeck built("R1 a 0 1k\n");
+  EXPECT_NE(built.device<Resistor>("R1"), nullptr);
+  EXPECT_EQ(built.device<Capacitor>("R1"), nullptr);  // the card named R1 is a resistor
+  EXPECT_EQ(built.device<Resistor>("R9"), nullptr);   // no such card
 }
 
 TEST(Parser, UnknownDotCardsBecomeWarnings) {
-  const auto parsed = parse_netlist(R"(
+  const BuiltDeck built(R"(
 R1 a 0 1k
 .options reltol=1e-4
 .temp 27
 )");
-  EXPECT_EQ(parsed.devices.size(), 1u);  // parsing continued past the cards
-  ASSERT_EQ(parsed.warnings.size(), 2u);
-  EXPECT_NE(parsed.warnings[0].find("line 3"), std::string::npos);
-  EXPECT_NE(parsed.warnings[0].find(".options"), std::string::npos);
-  EXPECT_NE(parsed.warnings[1].find(".temp"), std::string::npos);
+  EXPECT_EQ(built.netlist.devices().size(), 1u);  // parsing continued past the cards
+  ASSERT_EQ(built.deck.warnings.size(), 2u);
+  EXPECT_NE(built.deck.warnings[0].find(":3"), std::string::npos);
+  EXPECT_NE(built.deck.warnings[0].find(".options"), std::string::npos);
+  EXPECT_NE(built.deck.warnings[1].find(".temp"), std::string::npos);
 }
 
 TEST(Parser, EndCardTerminatesDeck) {
-  const auto parsed = parse_netlist(R"(
+  const BuiltDeck built(R"(
 R1 a 0 1k
 .end
 R2 a 0 2k
 this line would be a parse error if it were reached
 )");
-  EXPECT_EQ(parsed.devices.size(), 1u);
-  EXPECT_EQ(parsed.devices.count("R2"), 0u);
-  EXPECT_TRUE(parsed.warnings.empty());
+  EXPECT_EQ(built.netlist.devices().size(), 1u);
+  EXPECT_EQ(built.device<Resistor>("R2"), nullptr);
+  EXPECT_TRUE(built.deck.warnings.empty());
 }
 
 TEST(ParseErrorContext, PlainLineOnlyForm) {
-  const ParseError e(7, "bad card");
+  const ParseError e("", 7, "bad card");
   EXPECT_EQ(e.line(), 7);
   EXPECT_TRUE(e.file().empty());
   EXPECT_TRUE(e.include_chain().empty());
@@ -237,7 +273,7 @@ TEST(ParseErrorContext, FileAndIncludeChainForm) {
 }
 
 TEST(Parser, FullAmplifierDeckEndToEnd) {
-  auto parsed = parse_netlist(R"(
+  BuiltDeck built(R"(
 * NMOS common-source amplifier
 .model n180 NMOS
 VDD vdd 0 1.8
@@ -247,12 +283,12 @@ M1 out in 0 0 n180 W=20u L=1u
 CL out 0 200f
 )");
   DcAnalysis dc;
-  const auto op = dc.solve(parsed.netlist);
+  const auto op = dc.solve(built.netlist);
   ASSERT_TRUE(op.converged);
   AcAnalysis ac;
-  const auto sweep = ac.run(parsed.netlist, op.x, {1e3});
+  const auto sweep = ac.run(built.netlist, op.x, {1e3});
   // Inverting gain > 1 at low frequency.
-  EXPECT_GT(std::abs(sweep.voltage(0, parsed.netlist.find_node("out"))), 2.0);
+  EXPECT_GT(std::abs(sweep.voltage(0, built.netlist.find_node("out"))), 2.0);
 }
 
 }  // namespace

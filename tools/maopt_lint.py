@@ -41,6 +41,12 @@ Enforces invariants that generic clang-tidy checks cannot express:
                        break every downstream consumer of the JSONL stream
                        (tools/check_telemetry.py validates streams at
                        runtime; this catches the bug at review time).
+  thread-local         no thread_local state in src/. A per-thread global
+                       is a side channel: a result written on one thread is
+                       lost when a batch or pool hops threads, so results
+                       travel as return values (ckt::EvalResult::call). A
+                       per-thread *input* (ScopedTenant's tenant scope) may
+                       be waived with the suppression below.
 
 Suppression: append `// maopt-lint: allow(<check>)` to a line to waive one
 finding there, with the justification in the same comment.
@@ -440,6 +446,25 @@ def check_observer_bracketing(sf: SourceFile) -> Iterator[Finding]:
             sf, "observer-bracketing", m.start(),
             "raw SpanCollector::add(Phase::...) call; use obs::ScopedSpan so the "
             "span closes on every path (including exceptions)",
+        )
+
+
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b")
+
+
+@register_check(
+    "thread-local",
+    "thread_local state in src/ — pass results as return values, not per-thread side channels",
+)
+def check_thread_local(sf: SourceFile) -> Iterator[Finding]:
+    if not sf.in_dir("src"):
+        return
+    for m in THREAD_LOCAL_RE.finditer(sf.masked):
+        yield from _emit(
+            sf, "thread-local", m.start(),
+            "thread_local state is a side channel that batching and thread pools "
+            "silently lose; return the value in the result instead, or justify a "
+            "per-thread input with `// maopt-lint: allow(thread-local)`",
         )
 
 
