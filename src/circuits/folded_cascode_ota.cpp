@@ -161,6 +161,7 @@ class FcSession final : public EvalSession {
     EvalResult result;
     result.metrics = problem_->failure_metrics();
     result.simulation_ok = false;
+    dc_.set_deadline(deadline());
     try {
       const FcParams p = unpack(x);
       if (!built_) {
@@ -213,6 +214,7 @@ class FcSession final : public EvalSession {
       TranOptions topt;
       topt.t_stop = 400e-9;
       topt.dt = 0.5e-9;
+      topt.dc.deadline = deadline();
       const TranResult tr = TranAnalysis(topt).run(ug_.net);
       double settling_ns = 1e4;
       if (tr.converged) {

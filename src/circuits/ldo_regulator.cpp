@@ -155,6 +155,7 @@ class LdoSession final : public EvalSession {
     EvalResult result;
     result.metrics = problem_->failure_metrics();
     result.simulation_ok = false;
+    dc_.set_deadline(deadline());
     try {
       const LdoParams p = unpack(x);
       if (!built_) {
@@ -209,6 +210,7 @@ class LdoSession final : public EvalSession {
         TranOptions topt;
         topt.t_stop = profile_.t_stop;
         topt.dt = profile_.dt;
+        topt.dc.deadline = deadline();
         TranAnalysis tran(topt);
         const TranResult tr = tran.run(b.net);
         if (!tr.converged) return 1e3;

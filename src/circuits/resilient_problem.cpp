@@ -1,6 +1,5 @@
 #include "circuits/resilient_problem.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -11,7 +10,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/thread_annotations.hpp"
 
 namespace maopt::ckt {
 
@@ -34,10 +32,6 @@ bool all_plausible(const Vec& v, double max_magnitude) {
   for (const double m : v)
     if (!std::isfinite(m) || std::abs(m) > max_magnitude) return false;
   return true;
-}
-
-std::chrono::nanoseconds to_duration(double seconds) {
-  return std::chrono::nanoseconds(static_cast<long long>(seconds * 1e9));
 }
 
 }  // namespace
@@ -66,102 +60,13 @@ ResilientEvaluator::ResilientEvaluator(const SizingProblem& inner, ResilientConf
               "ResilientEvaluator: max_metric_magnitude must be > 0");
 }
 
-ResilientEvaluator::~ResilientEvaluator() {
-  // An abandoned attempt still references the inner problem; give it time to
-  // finish before the inner problem can be torn down by our caller.
-  while (inflight_.load(std::memory_order_acquire) > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-}
-
-ResilientEvaluator::Attempt ResilientEvaluator::run_attempt(const Vec& x, EvalSession* session,
-                                                            const ProcessVariation& pv) const {
-  attempts_.fetch_add(1, std::memory_order_relaxed);
-
-  auto classify = [this](EvalResult result, const std::exception_ptr& error) {
-    Attempt a;
-    if (error) {
-      a.kind = FailureKind::Exception;
-    } else if (!result.simulation_ok) {
-      a.kind = FailureKind::NonConvergence;
-    } else if (result.metrics.size() != num_metrics() ||
-               !all_plausible(result.metrics, config_.max_metric_magnitude)) {
-      a.kind = FailureKind::NonFinite;
-    } else {
-      a.ok = true;
-      a.result = std::move(result);
-    }
-    return a;
-  };
-
-  if (config_.deadline_seconds <= 0.0) {
-    EvalResult result;
-    std::exception_ptr error;
-    try {
-      result = session != nullptr ? session->evaluate(x) : inner_->evaluate_at(x, pv);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    return classify(std::move(result), error);
-  }
-
-  struct Shared {
-    Mutex mutex;
-    CondVar cv;
-    bool done MAOPT_GUARDED_BY(mutex) = false;
-    EvalResult result MAOPT_GUARDED_BY(mutex);
-    std::exception_ptr error MAOPT_GUARDED_BY(mutex);
-  };
-  auto shared = std::make_shared<Shared>();
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  std::thread worker([inner = inner_, x, pv, shared, &inflight = inflight_] {
-    EvalResult result;
-    std::exception_ptr error;
-    try {
-      result = inner->evaluate_at(x, pv);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const MutexLock lock(shared->mutex);
-      shared->result = std::move(result);
-      shared->error = error;
-      shared->done = true;
-    }
-    shared->cv.notify_one();
-    // Must be the thread's last action: once inflight hits zero the
-    // ResilientEvaluator (and with it this reference) may be destroyed.
-    inflight.fetch_sub(1, std::memory_order_release);
-  });
-
-  MutexLock lock(shared->mutex);
-  const bool finished =
-      shared->cv.wait_for(lock, to_duration(config_.deadline_seconds),
-                          [&shared]() MAOPT_REQUIRES(shared->mutex) { return shared->done; });
-  if (!finished) {
-    lock.unlock();
-    worker.detach();  // cannot kill a thread portably; result is discarded
-    Attempt a;
-    a.kind = FailureKind::Timeout;
-    return a;
-  }
-  EvalResult result = std::move(shared->result);
-  const std::exception_ptr error = shared->error;
-  lock.unlock();
-  worker.join();
-  return classify(std::move(result), error);
-}
-
-EvalResult ResilientEvaluator::evaluate(const Vec& x) const {
-  return evaluate_with(x, nullptr, ProcessVariation{});
-}
-
 EvalResult ResilientEvaluator::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  return evaluate_with(x, nullptr, pv);
+  const std::unique_ptr<EvalSession> session = inner_->make_session_at(pv);
+  return evaluate_with(x, *session, Deadline{});
 }
 
-EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
-                                             const ProcessVariation& pv) const {
+EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession& session,
+                                             const Deadline& outer) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   const Vec& lo = lower_bounds();
   const Vec& hi = upper_bounds();
@@ -182,13 +87,34 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
         attempt_x[j] += config_.retry_jitter_frac * (hi[j] - lo[j]) * jitter.normal();
       attempt_x = clip(std::move(attempt_x));
     }
-    Attempt a = run_attempt(attempt_x, session, pv);
-    if (a.ok) {
-      a.result.call = call;
-      return std::move(a.result);
+    attempts_.fetch_add(1, std::memory_order_relaxed);
+    const Deadline deadline = config_.deadline_seconds > 0.0
+                                  ? outer.min(Deadline::after(config_.deadline_seconds))
+                                  : outer;
+    session.set_deadline(deadline);
+    EvalResult result;
+    bool threw = false;
+    try {
+      result = session.evaluate(attempt_x);
+    } catch (...) {
+      threw = true;
     }
-    call.last_failure = a.kind;
-    by_kind_[static_cast<std::size_t>(a.kind)].fetch_add(1, std::memory_order_relaxed);
+    FailureKind kind;
+    if (deadline.expired()) {
+      kind = FailureKind::Timeout;  // whatever the attempt returned, it came too late
+    } else if (threw) {
+      kind = FailureKind::Exception;
+    } else if (!result.simulation_ok) {
+      kind = FailureKind::NonConvergence;
+    } else if (result.metrics.size() != num_metrics() ||
+               !all_plausible(result.metrics, config_.max_metric_magnitude)) {
+      kind = FailureKind::NonFinite;
+    } else {
+      result.call = call;
+      return result;
+    }
+    call.last_failure = kind;
+    by_kind_[static_cast<std::size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
   }
 
   failures_.fetch_add(1, std::memory_order_relaxed);
@@ -204,34 +130,24 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
 /// attempt through it, keeping the full retry/classification pipeline.
 class ResilientEvaluator::Session final : public EvalSession {
  public:
-  Session(const ResilientEvaluator& outer, std::unique_ptr<EvalSession> inner,
-          ProcessVariation pv)
-      : outer_(&outer), inner_(std::move(inner)), pv_(pv) {}
+  Session(const ResilientEvaluator& outer, std::unique_ptr<EvalSession> inner)
+      : outer_(&outer), inner_(std::move(inner)) {}
 
   EvalResult evaluate(const Vec& x) override {
-    return outer_->evaluate_with(x, inner_.get(), pv_);
+    return outer_->evaluate_with(x, *inner_, deadline());
   }
 
  private:
   const ResilientEvaluator* outer_;
   std::unique_ptr<EvalSession> inner_;
-  ProcessVariation pv_;  ///< retries that bypass the inner session keep the pin
 };
 
 std::unique_ptr<EvalSession> ResilientEvaluator::make_session() const {
-  // With a deadline, abandoned attempts may still be running on detached
-  // threads; a reused inner session would race them. Fall back to the default
-  // forwarding session, which goes through the thread-per-attempt path.
-  if (config_.deadline_seconds > 0.0) return SizingProblem::make_session();
-  return std::make_unique<Session>(*this, inner_->make_session(), ProcessVariation{});
+  return std::make_unique<Session>(*this, inner_->make_session());
 }
 
 std::unique_ptr<EvalSession> ResilientEvaluator::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  // Same deadline caveat as make_session(); the default forwarding session
-  // routes through evaluate_at(x, pv) and thus the thread-per-attempt path.
-  if (config_.deadline_seconds > 0.0) return SizingProblem::make_session_at(pv);
-  return std::make_unique<Session>(*this, inner_->make_session_at(pv), pv);
+  return std::make_unique<Session>(*this, inner_->make_session_at(pv));
 }
 
 FailureStats ResilientEvaluator::stats() const {
@@ -265,58 +181,76 @@ FaultInjectingProblem::FaultInjectingProblem(const SizingProblem& inner,
               "FaultInjectingProblem: rates must sum to <= 1");
 }
 
-EvalResult FaultInjectingProblem::evaluate(const Vec& x) const {
-  return evaluate_at(x, ProcessVariation{});
-}
+/// Draws each design's fault from (seed, x, pv) and answers the designs it
+/// does not fail outright through the inner problem's session.
+class FaultInjectingProblem::Session final : public EvalSession {
+ public:
+  Session(const FaultInjectingProblem& outer, std::unique_ptr<EvalSession> inner,
+          const ProcessVariation& pv)
+      : outer_(&outer), inner_(std::move(inner)), pv_(pv) {}
+
+  EvalResult evaluate(const Vec& x) override {
+    const FaultInjectionConfig& config = outer_->config_;
+    // Fold the variation into the fault hash only when it is enabled, so the
+    // nominal fault decision for a design stays bit-identical to evaluate()
+    // regardless of which entry point the caller used.
+    std::uint64_t h = hash_design(x);
+    if (pv_.enabled()) {
+      auto mix = [&h](double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        h ^= bits + 0x9E3779B97F4A7C15ULL + (h << 6U) + (h >> 2U);
+      };
+      mix(pv_.sigma_vth);
+      mix(pv_.sigma_kp_rel);
+      mix(static_cast<double>(pv_.seed));
+      mix(pv_.nmos_vth_shift);
+      mix(pv_.pmos_vth_shift);
+      mix(pv_.nmos_kp_factor);
+      mix(pv_.pmos_kp_factor);
+    }
+    Rng rng(derive_seed(config.seed, h));
+    double u = rng.uniform();
+
+    if ((u -= config.throw_rate) < 0.0) {
+      outer_->injected_.fetch_add(1, std::memory_order_relaxed);
+      throw std::runtime_error("injected fault: Newton iteration diverged");
+    }
+    if ((u -= config.hang_rate) < 0.0) {
+      outer_->injected_.fetch_add(1, std::memory_order_relaxed);
+      // A hung simulator that still honours the caller's deadline.
+      std::this_thread::sleep_until(Deadline::after(config.hang_seconds).min(deadline()).at());
+    } else if ((u -= config.nan_rate) < 0.0) {
+      outer_->injected_.fetch_add(1, std::memory_order_relaxed);
+      EvalResult r;
+      r.metrics.assign(outer_->num_metrics(), std::numeric_limits<double>::quiet_NaN());
+      r.simulation_ok = true;  // the dangerous case: failure not flagged
+      return r;
+    } else if ((u -= config.garbage_rate) < 0.0) {
+      outer_->injected_.fetch_add(1, std::memory_order_relaxed);
+      EvalResult r;
+      r.metrics.resize(outer_->num_metrics());
+      for (auto& m : r.metrics) m = (rng.uniform() < 0.5 ? -1.0 : 1.0) * 1e12 * rng.uniform();
+      r.simulation_ok = true;
+      return r;
+    }
+    inner_->set_deadline(deadline());
+    return inner_->evaluate(x);
+  }
+
+ private:
+  const FaultInjectingProblem* outer_;
+  std::unique_ptr<EvalSession> inner_;
+  ProcessVariation pv_;
+};
 
 EvalResult FaultInjectingProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  // Fold the variation into the fault hash only when it is enabled, so the
-  // nominal fault decision for a design stays bit-identical to evaluate()
-  // regardless of which entry point the caller used.
-  std::uint64_t h = hash_design(x);
-  if (pv.enabled()) {
-    auto mix = [&h](double v) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      h ^= bits + 0x9E3779B97F4A7C15ULL + (h << 6U) + (h >> 2U);
-    };
-    mix(pv.sigma_vth);
-    mix(pv.sigma_kp_rel);
-    mix(static_cast<double>(pv.seed));
-    mix(pv.nmos_vth_shift);
-    mix(pv.pmos_vth_shift);
-    mix(pv.nmos_kp_factor);
-    mix(pv.pmos_kp_factor);
-  }
-  Rng rng(derive_seed(config_.seed, h));
-  double u = rng.uniform();
+  return Session(*this, inner_->make_session_at(pv), pv).evaluate(x);
+}
 
-  if ((u -= config_.throw_rate) < 0.0) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    throw std::runtime_error("injected fault: Newton iteration diverged");
-  }
-  if ((u -= config_.hang_rate) < 0.0) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(to_duration(config_.hang_seconds));
-    return inner_->evaluate_at(x, pv);
-  }
-  if ((u -= config_.nan_rate) < 0.0) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    EvalResult r;
-    r.metrics.assign(num_metrics(), std::numeric_limits<double>::quiet_NaN());
-    r.simulation_ok = true;  // the dangerous case: failure not flagged
-    return r;
-  }
-  if ((u -= config_.garbage_rate) < 0.0) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    EvalResult r;
-    r.metrics.resize(num_metrics());
-    for (auto& m : r.metrics) m = (rng.uniform() < 0.5 ? -1.0 : 1.0) * 1e12 * rng.uniform();
-    r.simulation_ok = true;
-    return r;
-  }
-  return inner_->evaluate_at(x, pv);
+std::unique_ptr<EvalSession> FaultInjectingProblem::make_session_at(
+    const ProcessVariation& pv) const {
+  return std::make_unique<Session>(*this, inner_->make_session_at(pv), pv);
 }
 
 }  // namespace maopt::ckt

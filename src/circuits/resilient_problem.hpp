@@ -34,8 +34,10 @@
 namespace maopt::ckt {
 
 struct ResilientConfig {
-  /// Per-attempt wall-clock deadline in seconds; <= 0 disables the deadline
-  /// (the attempt runs inline on the calling thread).
+  /// Per-attempt wall-clock deadline in seconds; <= 0 disables it. Attempts
+  /// run inline on the calling thread, with the deadline set on their
+  /// EvalSession (see its deadline contract); an attempt that ends after it
+  /// is a FailureKind::Timeout.
   double deadline_seconds = 0.0;
   /// Additional attempts after the first failed one.
   int max_retries = 2;
@@ -66,17 +68,11 @@ struct FailureStats {
 };
 
 /// Decorator: makes any SizingProblem safe to call from an optimizer.
-/// Thread-safe whenever the inner problem's evaluate() is. `inner` is not
-/// owned and must outlive this object.
+/// Thread-safe whenever the inner problem's make_session_at() is. `inner` is
+/// not owned and must outlive this object.
 class ResilientEvaluator final : public SizingProblem {
  public:
   explicit ResilientEvaluator(const SizingProblem& inner, ResilientConfig config = {});
-  /// Blocks until abandoned (timed-out) attempts still running on detached
-  /// threads have drained, so the inner problem can be safely destroyed.
-  ~ResilientEvaluator() override;
-
-  ResilientEvaluator(const ResilientEvaluator&) = delete;
-  ResilientEvaluator& operator=(const ResilientEvaluator&) = delete;
 
   const ProblemSpec& spec() const override { return inner_->spec(); }
   std::size_t dim() const override { return inner_->dim(); }
@@ -90,12 +86,11 @@ class ResilientEvaluator final : public SizingProblem {
   /// metrics: every failure mode yields {failure_metrics(), ok=false}. The
   /// result's `call` records the retries consumed and, when every attempt
   /// failed, the kind of the last failure.
-  EvalResult evaluate(const Vec& x) const override;
+  EvalResult evaluate(const Vec& x) const override { return evaluate_at(x, ProcessVariation{}); }
 
-  /// Variation-pinned evaluation with the full deadline/retry/scrub pipeline;
-  /// `pv` is forwarded to the inner problem's evaluate_at on every attempt
-  /// (including deadline-guarded ones), so corner sweeps keep per-attempt
-  /// fault tolerance. Thread-safe like evaluate().
+  /// Variation-pinned evaluation with the full deadline/retry/scrub pipeline,
+  /// every attempt on one session made for the call by the inner
+  /// make_session_at(pv). Thread-safe like evaluate().
   EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const override;
   std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const override;
   bool supports_process_variation() const override {
@@ -103,30 +98,19 @@ class ResilientEvaluator final : public SizingProblem {
   }
   std::uint64_t content_fingerprint() const override { return inner_->content_fingerprint(); }
 
-  /// Persistent-session support: wraps the inner problem's session in the
-  /// same retry/scrub logic — but only when deadline_seconds <= 0, where
-  /// attempts run inline on the calling thread. With a deadline, a timed-out
-  /// attempt keeps running on a detached thread and would race any reused
-  /// session state, so the default per-call forwarding session is returned
-  /// instead (correct, just without amortization).
+  /// Persistent session: wraps the inner problem's session in the same
+  /// deadline/retry/scrub logic. A deadline set on this session also bounds
+  /// every attempt (the earlier of the two wins).
   std::unique_ptr<EvalSession> make_session() const override;
 
   FailureStats stats() const;
-  const ResilientConfig& config() const { return config_; }
 
  private:
   class Session;
 
-  struct Attempt {
-    EvalResult result;
-    FailureKind kind = FailureKind::NonConvergence;
-    bool ok = false;
-  };
-  /// `session` (optional) is used for the inner evaluation; inline-attempt
-  /// mode only — the deadline path always evaluates through inner_ (with the
-  /// attempt's variation setting forwarded).
-  Attempt run_attempt(const Vec& x, EvalSession* session, const ProcessVariation& pv) const;
-  EvalResult evaluate_with(const Vec& x, EvalSession* session, const ProcessVariation& pv) const;
+  /// Runs every attempt on `session`, each under the earlier of `outer` and
+  /// the per-attempt deadline.
+  EvalResult evaluate_with(const Vec& x, EvalSession& session, const Deadline& outer) const;
 
   const SizingProblem* inner_;
   ResilientConfig config_;
@@ -135,13 +119,12 @@ class ResilientEvaluator final : public SizingProblem {
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> failures_{0};
   mutable std::array<std::atomic<std::uint64_t>, kNumFailureKinds> by_kind_{};
-  mutable std::atomic<int> inflight_{0};  ///< abandoned attempts still running
 };
 
 /// Seeded fault injection rates; the four rates must sum to <= 1.
 struct FaultInjectionConfig {
   double throw_rate = 0.0;    ///< throw std::runtime_error
-  double hang_rate = 0.0;     ///< sleep hang_seconds before answering
+  double hang_rate = 0.0;     ///< sleep hang_seconds (or to the session deadline)
   double nan_rate = 0.0;      ///< simulation_ok = true but NaN metrics
   double garbage_rate = 0.0;  ///< simulation_ok = true, absurd finite metrics
   double hang_seconds = 0.05;
@@ -168,13 +151,19 @@ class FaultInjectingProblem final : public SizingProblem {
   std::vector<std::string> parameter_names() const override { return inner_->parameter_names(); }
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
 
-  EvalResult evaluate(const Vec& x) const override;
+  EvalResult evaluate(const Vec& x) const override { return evaluate_at(x, ProcessVariation{}); }
 
   /// Variation-pinned injection: the fault decision is a pure function of
   /// (seed, x) at nominal — identical to evaluate() — and of (seed, x, pv)
   /// under an enabled variation, so each corner / Monte Carlo instance draws
   /// its own deterministic fault. Replay- and thread-deterministic either way.
   EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const override;
+  /// Sessions wrap the inner problem's session and inject the same faults;
+  /// a hang ends at the session deadline if that comes first.
+  std::unique_ptr<EvalSession> make_session() const override {
+    return make_session_at(ProcessVariation{});  // nominal, like evaluate()
+  }
+  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const override;
   bool supports_process_variation() const override {
     return inner_->supports_process_variation();
   }
@@ -182,9 +171,10 @@ class FaultInjectingProblem final : public SizingProblem {
 
   /// Faults injected so far (throws + hangs + NaN + garbage).
   std::uint64_t injected() const { return injected_.load(); }
-  const FaultInjectionConfig& config() const { return config_; }
 
  private:
+  class Session;
+
   const SizingProblem* inner_;
   FaultInjectionConfig config_;
   mutable std::atomic<std::uint64_t> injected_{0};

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 
@@ -116,10 +117,22 @@ struct EvalResult {
 /// A session is NOT thread-safe — one session per worker thread. It
 /// snapshots the problem's process-variation settings at creation; create a
 /// fresh session after set_process_variation().
+///
+/// Deadline contract: set_deadline() applies to later evaluate() calls. The
+/// circuit and deck sessions hand it to the simulator, which stops at the
+/// first Newton solve or transient step past it; a wrapping session forwards
+/// it to its inner one; any other session runs to completion. A call that
+/// ends after its deadline has an unspecified result and counts as timed out.
 class EvalSession {
  public:
   virtual ~EvalSession() = default;
   virtual EvalResult evaluate(const Vec& x) = 0;
+
+  void set_deadline(const Deadline& deadline) { deadline_ = deadline; }
+  const Deadline& deadline() const { return deadline_; }
+
+ private:
+  Deadline deadline_;
 };
 
 class SizingProblem {

@@ -162,6 +162,7 @@ class TiaSession final : public EvalSession {
     EvalResult result;
     result.metrics = problem_->failure_metrics();
     result.simulation_ok = false;
+    dc_.set_deadline(deadline());
     try {
       const TiaParams p = unpack(x);
       if (!cl_built_) {

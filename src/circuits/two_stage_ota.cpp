@@ -155,6 +155,7 @@ class OtaSession final : public EvalSession {
     EvalResult result;
     result.metrics = problem_->failure_metrics();
     result.simulation_ok = false;
+    dc_.set_deadline(deadline());
     try {
       const OtaParams p = unpack(x);
       if (!built_) {
@@ -244,6 +245,7 @@ class OtaSession final : public EvalSession {
       TranOptions topt;
       topt.t_stop = 400e-9;
       topt.dt = 0.5e-9;
+      topt.dc.deadline = deadline();
       TranAnalysis tran(topt);
       const TranResult tr = tran.run(ug_.net);
       double settling_ns = 1e4;  // fail sentinel: 10 us

@@ -209,12 +209,21 @@ class DeckSession final : public ckt::EvalSession {
 
     // Analysis grids are design-independent (validated at compile time), so
     // they are evaluated once here.
-    if (const AnalysisCard* ac = deck.analysis(AnalysisKind::Ac))
-      ac_freqs_ = log_frequency_grid(ac->f_start.eval(env), ac->f_stop.eval(env),
-                                     ac->points_per_decade);
+    const auto sweep_grid = [&env](const AnalysisCard& card) {
+      const std::string what = card.location + ": ." + to_string(card.kind);
+      const double f_start = card.f_start.eval(env);
+      const double f_stop = card.f_stop.eval(env);
+      if (!(f_start > 0.0 && f_start < f_stop && std::isfinite(f_stop)))
+        throw std::invalid_argument(what + " needs finite 0 < f_start < f_stop");
+      if (std::ceil(std::log10(f_stop / f_start) * card.points_per_decade) + 1 > kMaxSweepPoints)
+        throw std::invalid_argument(what + " sweep exceeds " +
+                                    std::to_string(static_cast<int>(kMaxSweepPoints)) +
+                                    " points");
+      return log_frequency_grid(f_start, f_stop, card.points_per_decade);
+    };
+    if (const AnalysisCard* ac = deck.analysis(AnalysisKind::Ac)) ac_freqs_ = sweep_grid(*ac);
     if (const AnalysisCard* nz = deck.analysis(AnalysisKind::Noise)) {
-      noise_freqs_ = log_frequency_grid(nz->f_start.eval(env), nz->f_stop.eval(env),
-                                        nz->points_per_decade);
+      noise_freqs_ = sweep_grid(*nz);
       try {
         noise_pos_ = net_.find_node(nz->noise_pos);
         noise_neg_ = nz->noise_neg.empty() ? kGround : net_.find_node(nz->noise_neg);
@@ -227,6 +236,10 @@ class DeckSession final : public ckt::EvalSession {
       tran_options_.t_stop = tr->t_stop.eval(env);
       if (!(tran_options_.dt > 0.0) || !(tran_options_.t_stop > tran_options_.dt))
         throw std::invalid_argument(tr->location + ": .tran needs 0 < dt < t_stop");
+      if (!(tran_options_.t_stop / tran_options_.dt <= kMaxTranSteps))
+        throw std::invalid_argument(tr->location + ": .tran needs at most " +
+                                    std::to_string(static_cast<int>(kMaxTranSteps)) +
+                                    " steps (t_stop/dt)");
     }
     for (const auto& kind : {AnalysisKind::Ac, AnalysisKind::Tran, AnalysisKind::Noise})
       needs_[static_cast<int>(kind)] = false;
@@ -239,6 +252,8 @@ class DeckSession final : public ckt::EvalSession {
     EvalResult result;
     result.metrics = problem_->failure_metrics();
     result.simulation_ok = false;
+    dc_.set_deadline(deadline());
+    tran_options_.dc.deadline = deadline();
     try {
       if (!built_) build();
       ParamEnv env = design_env(x);

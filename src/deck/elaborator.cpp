@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -350,8 +351,11 @@ class Elaborator {
       // "DEC n f_start f_stop"
       if (i + 3 >= tokens.size() || upper(tokens[i]) != "DEC")
         fail(line, head + " expects 'dec N f_start f_stop'");
-      card.points_per_decade = static_cast<int>(expr(i + 1).eval({}));
-      if (card.points_per_decade < 1) fail(line, "points per decade must be >= 1");
+      const double points = expr(i + 1).eval({});
+      if (!(points >= 1.0 && points <= kMaxSweepPoints) || points != std::floor(points))
+        fail(line, "points per decade must be an integer in [1, " +
+                       std::to_string(static_cast<int>(kMaxSweepPoints)) + "]");
+      card.points_per_decade = static_cast<int>(points);
       card.f_start = expr(i + 2);
       card.f_stop = expr(i + 3);
       return i + 4;

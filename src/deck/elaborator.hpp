@@ -65,6 +65,12 @@ struct ModelCard {
 
 enum class AnalysisKind { Op, Dc, Ac, Tran, Noise };
 
+/// Fixed bounds on an analysis's size, so that no deck can ask for a run
+/// that exhausts memory: .tran t_stop/dt steps, and .ac/.noise sweep points
+/// (which also bounds points per decade).
+inline constexpr double kMaxTranSteps = 1e6;
+inline constexpr double kMaxSweepPoints = 1e5;
+
 const char* to_string(AnalysisKind kind);
 
 struct AnalysisCard {

@@ -14,6 +14,7 @@ MAOPT_HOT bool DcAnalysis::newton(const Netlist& netlist, double source_scale, d
                                   int* iterations_out, NewtonWorkspace& ws,
                                   const std::vector<CapacitorStamp>* companion_caps,
                                   const Vec* companion_ieq) {
+  if (options.deadline.expired()) return false;
   const std::size_t n = netlist.system_size();
   const std::size_t num_nodes = netlist.num_nodes();
   if (x.size() != n) x.assign(n, 0.0);  // maopt-lint: allow(hot-alloc) cold-start sizing

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <optional>
 
+#include "common/deadline.hpp"
 #include "linalg/lu.hpp"
 #include "spice/netlist.hpp"
 
@@ -20,6 +21,8 @@ struct DcOptions {
   double gmin = 1e-12;        ///< final gmin value [S]
   bool allow_gmin_stepping = true;
   bool allow_source_stepping = true;
+  /// Newton solves that start after this fail at once (see newton()).
+  Deadline deadline;
 };
 
 struct DcResult {
@@ -70,8 +73,11 @@ class DcAnalysis {
   /// Not safe to call concurrently on one DcAnalysis instance.
   DcResult solve(Netlist& netlist, const Vec* initial_guess = nullptr) const;
 
+  void set_deadline(const Deadline& deadline) { options_.deadline = deadline; }
+
   /// Inner Newton loop at fixed gmin / source scale; exposed for the
   /// transient engine, which performs its own continuation over time.
+  /// Fails at once past `options.deadline`, so every ladder above unwinds.
   static bool newton(const Netlist& netlist, double source_scale, double time, double gmin,
                      const DcOptions& options, Vec& x, int* iterations_out, NewtonWorkspace& ws,
                      const std::vector<CapacitorStamp>* companion_caps = nullptr,

@@ -75,6 +75,7 @@ TranResult TranAnalysis::run(Netlist& netlist) const {
   double dt = options_.dt;
   Vec x_try;
   while (t < options_.t_stop - 1e-18) {
+    if (options_.dc.deadline.expired()) return result;  // converged=false
     double step = std::min(dt, options_.t_stop - t);
     bool ok = false;
     int halvings = 0;

@@ -20,7 +20,8 @@ struct TranOptions {
   double t_stop = 1e-6;
   double dt = 1e-9;
   int max_step_halvings = 6;  ///< local step halving on Newton failure
-  DcOptions dc;               ///< Newton settings for the initial OP and steps
+  DcOptions dc;               ///< Newton settings for the initial OP and steps;
+                              ///< a run stops unconverged once dc.deadline passes
 };
 
 struct TranResult {

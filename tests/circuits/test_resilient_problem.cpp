@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "../support/variation_test_problems.hpp"
 #include "circuits/analytic_problems.hpp"
+#include "common/log.hpp"
 
 namespace maopt::ckt {
 namespace {
@@ -18,10 +17,10 @@ namespace {
 /// configured mode, then behaves like a clean quadratic.
 class FlakyProblem final : public SizingProblem {
  public:
-  enum class Mode { Throw, NotOk, NanMetrics, Sleep };
+  enum class Mode { Throw, NotOk, NanMetrics };
 
-  FlakyProblem(std::size_t dim, Mode mode, int fail_first, double sleep_seconds = 0.0)
-      : inner_(dim), mode_(mode), fail_first_(fail_first), sleep_seconds_(sleep_seconds) {}
+  FlakyProblem(std::size_t dim, Mode mode, int fail_first)
+      : inner_(dim), mode_(mode), fail_first_(fail_first) {}
 
   const ProblemSpec& spec() const override { return inner_.spec(); }
   std::size_t dim() const override { return inner_.dim(); }
@@ -46,10 +45,6 @@ class FlakyProblem final : public SizingProblem {
           r.metrics[0] = std::nan("");
           return r;
         }
-        case Mode::Sleep:
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(static_cast<int>(sleep_seconds_ * 1e3)));
-          break;
       }
     }
     return inner_.evaluate(x);
@@ -61,7 +56,6 @@ class FlakyProblem final : public SizingProblem {
   ConstrainedQuadratic inner_;
   Mode mode_;
   int fail_first_;
-  double sleep_seconds_;
   mutable std::atomic<int> calls_{0};
 };
 
@@ -162,22 +156,51 @@ TEST(ResilientEvaluator, PlausibilityScreenCatchesSilentGarbage) {
 }
 
 TEST(ResilientEvaluator, DeadlineConvertsHangsToTimeouts) {
-  FlakyProblem flaky(4, FlakyProblem::Mode::Sleep, 1 << 20, /*sleep_seconds=*/0.25);
+  ConstrainedQuadratic inner(4);
+  FaultInjectionConfig fcfg;
+  fcfg.hang_rate = 1.0;
+  fcfg.hang_seconds = 0.25;
+  const FaultInjectingProblem hanging(inner, fcfg);
   ResilientConfig cfg;
   cfg.deadline_seconds = 0.02;
   cfg.max_retries = 0;
   Rng rng(7);
-  Vec x;
+  const Stopwatch clock;
   {
-    const ResilientEvaluator res(flaky, cfg);
-    x = flaky.random_design(rng);
-    const EvalResult r = res.evaluate(x);
+    const ResilientEvaluator res(hanging, cfg);
+    const EvalResult r = res.evaluate(inner.random_design(rng));
     EXPECT_FALSE(r.simulation_ok);
+    EXPECT_TRUE(r.call.failed);
+    EXPECT_EQ(r.call.last_failure, FailureKind::Timeout);
     EXPECT_EQ(res.stats().by_kind[static_cast<std::size_t>(FailureKind::Timeout)], 1u);
     EXPECT_EQ(res.stats().failures, 1u);
-    // Destructor must block until the abandoned attempt drains, so `flaky`
-    // (destroyed after `res`) is never used after free.
   }
+  EXPECT_LT(clock.elapsed_seconds(), 0.2);  // the 0.25 s hang is never waited out
+}
+
+TEST(ResilientEvaluator, InjectedHangEndsAtTheDeadline) {
+  // The hang sleeps until the session deadline, not for its 5 s, and nothing
+  // is left running once evaluate() returns: destroying the evaluator waits
+  // for nothing.
+  ConstrainedQuadratic inner(4);
+  FaultInjectionConfig fcfg;
+  fcfg.hang_rate = 1.0;
+  fcfg.hang_seconds = 5.0;
+  const FaultInjectingProblem hanging(inner, fcfg);
+  ResilientConfig cfg;
+  cfg.deadline_seconds = 0.02;
+  cfg.max_retries = 1;
+  Rng rng(14);
+  const Stopwatch clock;
+  {
+    const ResilientEvaluator res(hanging, cfg);
+    const EvalResult r = res.evaluate(inner.random_design(rng));
+    EXPECT_FALSE(r.simulation_ok);
+    EXPECT_EQ(r.call.last_failure, FailureKind::Timeout);
+    EXPECT_EQ(res.stats().by_kind[static_cast<std::size_t>(FailureKind::Timeout)], 2u);
+  }
+  EXPECT_LT(clock.elapsed_seconds(), 1.0);  // two 20 ms attempts, not two 5 s hangs
+  EXPECT_EQ(hanging.injected(), 2u);
 }
 
 TEST(ResilientEvaluator, DeadlineLetsFastEvaluationsThrough) {

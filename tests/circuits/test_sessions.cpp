@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuits/analytic_problems.hpp"
@@ -86,16 +87,49 @@ TEST(EvalSessionTest, ResilientInlineSessionMatchesEvaluate) {
   check_session_identity(resilient, 46);
 }
 
-TEST(EvalSessionTest, ResilientWithDeadlineFallsBackToForwarding) {
+/// Forwards to an inner problem and counts the sessions it hands out.
+class SessionCounter final : public SizingProblem {
+ public:
+  explicit SessionCounter(const SizingProblem& inner) : inner_(&inner) {}
+
+  const ProblemSpec& spec() const override { return inner_->spec(); }
+  std::size_t dim() const override { return inner_->dim(); }
+  const Vec& lower_bounds() const override { return inner_->lower_bounds(); }
+  const Vec& upper_bounds() const override { return inner_->upper_bounds(); }
+  const std::vector<bool>& integer_mask() const override { return inner_->integer_mask(); }
+  std::vector<std::string> parameter_names() const override { return inner_->parameter_names(); }
+  EvalResult evaluate(const Vec& x) const override { return inner_->evaluate(x); }
+  std::unique_ptr<EvalSession> make_session() const override {
+    ++sessions_;
+    return inner_->make_session();
+  }
+
+  int sessions() const { return sessions_; }
+
+ private:
+  const SizingProblem* inner_;
+  mutable int sessions_ = 0;
+};
+
+TEST(EvalSessionTest, ResilientWithDeadlineReusesInnerSession) {
   TwoStageOta ota;
+  const SessionCounter counted(ota);
   ResilientConfig config;
-  config.deadline_seconds = 30.0;  // detached-thread attempts: no reuse
-  ResilientEvaluator resilient(ota, config);
+  config.deadline_seconds = 30.0;  // deadline-guarded attempts run on the session too
+  const ResilientEvaluator resilient(counted, config);
   Rng rng(47);
-  const Vec x = resilient.random_design(rng);
+  const Vec a = resilient.random_design(rng);
+  const Vec b = resilient.random_design(rng);
+
+  const EvalResult ref_a = resilient.evaluate(a);  // on a session of its own
+  ASSERT_EQ(counted.sessions(), 1);
+
   const auto session = resilient.make_session();
   ASSERT_NE(session, nullptr);
-  expect_identical(session->evaluate(x), resilient.evaluate(x), "deadline fallback");
+  expect_identical(session->evaluate(a), ref_a, "first design");
+  expect_identical(session->evaluate(b), ota.evaluate(b), "second design (reused bench)");
+  expect_identical(session->evaluate(a), ref_a, "first design again (after reuse)");
+  EXPECT_EQ(counted.sessions(), 2);  // all three designs ran on the one inner session
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "circuits/resilient_problem.hpp"
+#include "common/log.hpp"
 #include "spice/ac_analysis.hpp"
 #include "spice/dc_analysis.hpp"
 #include "spice/devices.hpp"
@@ -219,6 +221,91 @@ TEST(DeckProblem, NonFiniteSpecNumbersAreParseErrorsWithLocation) {
       EXPECT_EQ(e.line(), 3) << bad;
     }
   }
+}
+
+/// Compiles an RC low-pass, as file "bad.cir", whose line 6 is
+/// `analysis_card`, and returns the compile error ("" if it compiles).
+std::string rc_compile_error(const std::string& analysis_card) {
+  const std::string deck = ".param RVAL=1k\n"
+                           "V1 in 0 DC 0 AC 1\n"
+                           "R1 in out {RVAL}\n"
+                           "C1 out 0 1n\n"
+                           ".op\n" +
+                           analysis_card + "\n.measure op vout v v(out)\n";
+  try {
+    DeckProblem(elaborate_deck_text(deck, "bad.cir"),
+                parse_spec_text("param RVAL lower=100 upper=10k\nminimize VOUT\n"));
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void expect_rejected(const std::string& analysis_card, const std::string& reason) {
+  const std::string error = rc_compile_error(analysis_card);
+  EXPECT_NE(error.find("bad.cir:6"), std::string::npos) << analysis_card << " -> " << error;
+  EXPECT_NE(error.find(reason), std::string::npos) << analysis_card << " -> " << error;
+}
+
+TEST(DeckProblem, SweepRejectsZeroStartFrequency) {
+  expect_rejected(".ac dec 10 0 1meg", "0 < f_start < f_stop");
+  expect_rejected(".noise v(out) dec 10 0 1meg", "0 < f_start < f_stop");
+}
+
+TEST(DeckProblem, SweepRejectsReversedBounds) {
+  expect_rejected(".ac dec 10 1meg 0.1", "0 < f_start < f_stop");
+  expect_rejected(".noise v(out) dec 10 1meg 1meg", "0 < f_start < f_stop");
+}
+
+TEST(DeckProblem, SweepRejectsFractionalPointsPerDecade) {
+  expect_rejected(".ac dec 2.9 1 1meg", "points per decade must be an integer");
+}
+
+TEST(DeckProblem, SweepRejectsOutOfRangePointsPerDecade) {
+  for (const char* card : {".ac dec 1e10 1 1meg", ".ac dec 0 1 1meg", ".noise v(out) dec -3 1 1k"})
+    expect_rejected(card, "points per decade must be an integer in [1, 100000]");
+}
+
+TEST(DeckProblem, SweepRejectsTooManyPoints) {
+  expect_rejected(".ac dec 100000 1 1g", "sweep exceeds 100000 points");
+  EXPECT_EQ(rc_compile_error(".ac dec 10000 1 1g"), "");  // 90001 points
+}
+
+TEST(DeckProblem, TranRejectsMoreThanAMillionSteps) {
+  expect_rejected(".tran 1p 1", "at most 1000000 steps");
+  EXPECT_EQ(rc_compile_error(".tran 1n 1m"), "");  // 10^6 steps
+}
+
+TEST(DeckProblem, DeadlineCutsALongTransientShort) {
+  // A common-source stage slewing under a 10 ns pulse train: 10^6 transient
+  // steps (the cap), none a repeat of the one before, so the step memos
+  // never shortcut it. Uninterrupted it takes about 1 s (Release, x86-64).
+  const DeckProblem p = DeckProblem::from_text(R"(
+.model n180 NMOS
+.param RLOAD=5k
+VDD vdd 0 1.8
+VIN in 0 PULSE(0.5 0.9 0 1n 1n 4n 10n)
+RL vdd out {RLOAD}
+M1 out in 0 0 n180 W=20u L=1u
+CL out 0 100p
+.op
+.tran 1p 1u
+.measure tran slew slewrate v(out)
+)",
+                                               "param RLOAD lower=1k upper=10k\nminimize SLEW\n");
+  ckt::ResilientConfig config;
+  config.deadline_seconds = 0.02;
+  config.max_retries = 0;
+  const Stopwatch clock;
+  ckt::EvalResult r;
+  {
+    const ckt::ResilientEvaluator resilient(p, config);
+    r = resilient.evaluate(Vec{5e3});
+  }  // nothing is left running, so destruction waits for nothing
+  EXPECT_LT(clock.elapsed_seconds(), 0.25);
+  EXPECT_FALSE(r.simulation_ok);
+  EXPECT_TRUE(r.call.failed);
+  EXPECT_EQ(r.call.last_failure, ckt::FailureKind::Timeout);
 }
 
 TEST(DeckProblem, DesignableDrivingFixedFieldRejected) {

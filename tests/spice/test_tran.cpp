@@ -38,6 +38,27 @@ TEST(Tran, RcStepResponseMatchesAnalytic) {
   EXPECT_NEAR(wave.back(), 1.0, 0.01);
 }
 
+TEST(Tran, PassedDeadlineStopsTheRunUnconverged) {
+  Netlist n;
+  const int vin = n.node("vin");
+  const int out = n.node("out");
+  n.add<VSource>(vin, kGround, Waveform::pwl({{0.0, 0.0}, {1e-6, 0.0}, {1.001e-6, 1.0}}));
+  n.add<Resistor>(vin, out, 1e3);
+  n.add<Capacitor>(out, kGround, 1e-9);
+
+  TranOptions opt;
+  opt.t_stop = 6e-6;
+  opt.dt = 10e-9;
+  opt.dc.deadline = Deadline::after(0.0);  // already passed
+  const auto r = TranAnalysis(opt).run(n);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.num_steps(), 0u);
+  EXPECT_FALSE(DcAnalysis(opt.dc).solve(n).converged);
+
+  opt.dc.deadline = Deadline::after(60.0);
+  EXPECT_TRUE(TranAnalysis(opt).run(n).converged);
+}
+
 TEST(Tran, InitialConditionFromDc) {
   Netlist n;
   const int vin = n.node("vin");

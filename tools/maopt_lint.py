@@ -47,6 +47,12 @@ Enforces invariants that generic clang-tidy checks cannot express:
                        travel as return values (ckt::EvalResult::call). A
                        per-thread *input* (ScopedTenant's tenant scope) may
                        be waived with the suppression below.
+  detached-thread      no `.detach()` in src/. A detached thread outlives the
+                       call that started it: it keeps using CPU after its
+                       caller gave up on it, and whoever owns what it
+                       references must wait for it to drain. Deadlines are
+                       cooperative instead (maopt::Deadline, checked by the
+                       spice layer on the calling thread).
 
 Suppression: append `// maopt-lint: allow(<check>)` to a line to waive one
 finding there, with the justification in the same comment.
@@ -465,6 +471,25 @@ def check_thread_local(sf: SourceFile) -> Iterator[Finding]:
             "thread_local state is a side channel that batching and thread pools "
             "silently lose; return the value in the result instead, or justify a "
             "per-thread input with `// maopt-lint: allow(thread-local)`",
+        )
+
+
+DETACH_RE = re.compile(r"\.\s*detach\s*\(\s*\)")
+
+
+@register_check(
+    "detached-thread",
+    "no .detach() in src/ — work that must stop at a deadline checks the deadline itself",
+)
+def check_detached_thread(sf: SourceFile) -> Iterator[Finding]:
+    if not sf.in_dir("src"):
+        return
+    for m in DETACH_RE.finditer(sf.masked):
+        yield from _emit(
+            sf, "detached-thread", m.start(),
+            "a detached thread keeps running after its caller has given up on it and "
+            "must be drained before what it references is destroyed; run the work on "
+            "the calling thread and stop it with a maopt::Deadline",
         )
 
 
