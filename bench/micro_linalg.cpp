@@ -134,7 +134,7 @@ void BM_GemmMlp(benchmark::State& state) {
   for (auto _ : state) {
     switch (kernel) {
       case 0: gemm_nn(m, n, k, x.data(), w.data(), c.data()); break;
-      case 1: gemm_tn(m, n, k, x.data(), dy.data(), c.data()); break;
+      case 1: gemm_tn(m, n, k, x.data(), m, dy.data(), c.data()); break;
       default: gemm_nt(m, n, k, dy.data(), w.data(), c.data(), pack.data()); break;
     }
     benchmark::DoNotOptimize(c.data());

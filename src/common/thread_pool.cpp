@@ -1,6 +1,8 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <utility>
 
 namespace maopt {
 
@@ -65,6 +67,94 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     }
   }
   if (first) std::rethrow_exception(first);
+}
+
+// ----------------------------------------------------------------------- Team
+
+namespace {
+
+// The claim word of the open round: epoch (32 bits) | next chunk (16) |
+// chunk count (16). A participant claims chunk `next` by bumping it with a
+// compare-exchange, which fails if the round moved on, so a late worker can
+// never run a chunk of a newer round with an older round's count. While
+// chunks < kMaxChunks, no open round's word equals kClosed.
+constexpr std::uint64_t kClosed = ~std::uint64_t{0};
+constexpr std::uint64_t kMaxChunks = 0xffff;
+constexpr std::uint64_t kNextOne = std::uint64_t{1} << 16;
+
+std::size_t next_chunk(std::uint64_t word) { return (word >> 16) & kMaxChunks; }
+std::size_t chunk_count(std::uint64_t word) { return word & kMaxChunks; }
+
+}  // namespace
+
+struct Team::State {
+  std::atomic<std::uint64_t> claim{0};
+  // Chunks of the open round that have finished.
+  std::atomic<std::uint32_t> done{0};
+  // The open round's body. Written by the caller before it publishes the
+  // round's word; read only by a participant holding a claimed chunk, which
+  // keeps the round open until it finishes.
+  const ChunkFn* fn = nullptr;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written by the first failing chunk only
+
+  // Claims and runs chunks of the round whose word is `word` until none is
+  // left; returns the last word seen.
+  std::uint64_t work(std::uint64_t word, std::size_t rank) {
+    while (word != kClosed && next_chunk(word) < chunk_count(word)) {
+      if (!claim.compare_exchange_weak(word, word + kNextOne, std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+        continue;  // `word` now holds the current value
+      try {
+        (*fn)(next_chunk(word), rank);
+      } catch (...) {
+        if (!failed.exchange(true, std::memory_order_relaxed)) error = std::current_exception();
+      }
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunk_count(word))
+        done.notify_one();
+      word = claim.load(std::memory_order_acquire);
+    }
+    return word;
+  }
+};
+
+Team::Team(ThreadPool* pool)
+    : state_(std::make_shared<State>()), size_(pool != nullptr ? pool->size() + 1 : 1) {
+  for (std::size_t rank = 1; rank < size_; ++rank) {
+    // The task owns a reference to the state, so a worker that starts after
+    // the Team is gone still finds it (closed) and returns at once.
+    pool->submit([state = state_, rank] {
+      std::uint64_t word = state->claim.load(std::memory_order_acquire);
+      while ((word = state->work(word, rank)) != kClosed) {
+        state->claim.wait(word, std::memory_order_acquire);
+        word = state->claim.load(std::memory_order_acquire);
+      }
+    });
+  }
+}
+
+Team::~Team() {
+  state_->claim.store(kClosed, std::memory_order_release);
+  state_->claim.notify_all();
+}
+
+void Team::run(std::size_t chunks, const ChunkFn& fn) {
+  if (chunks == 0) return;
+  MAOPT_CHECK(chunks < kMaxChunks, "Team::run: too many chunks");
+  State& s = *state_;
+  s.fn = &fn;
+  s.done.store(0, std::memory_order_relaxed);
+  const std::uint64_t word = (std::uint64_t{++epoch_} << 32) | chunks;
+  s.claim.store(word, std::memory_order_release);
+  if (size_ > 1) s.claim.notify_all();
+  s.work(word, 0);
+  for (std::uint32_t d = s.done.load(std::memory_order_acquire); d < chunks;
+       d = s.done.load(std::memory_order_acquire))
+    s.done.wait(d, std::memory_order_acquire);
+  if (s.failed.load(std::memory_order_relaxed)) {
+    s.failed.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(std::exchange(s.error, nullptr));
+  }
 }
 
 }  // namespace maopt

@@ -3,8 +3,11 @@
 // this with N_act OS processes; threads give the same parallel structure).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <future>
 #include <queue>
 #include <thread>
@@ -60,6 +63,46 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_ MAOPT_GUARDED_BY(mutex_);
   CondVar cv_;
   bool stop_ MAOPT_GUARDED_BY(mutex_) = false;
+};
+
+/// The calling thread plus whichever of a pool's workers join it, running
+/// rounds of fine-grained work (a critic training step; DESIGN §12). Each
+/// run() splits its work into a fixed list of chunks, and participants
+/// claim chunks one at a time until none is left. The caller always
+/// works and waits only for chunks already claimed, never for a worker to
+/// arrive, so a busy or late worker cannot hang a round: at worst the caller
+/// runs every chunk itself. Workers join once per Team (one pool task each)
+/// and sleep on an atomic between rounds; nothing spins.
+///
+/// Which participant runs which chunk varies from run to run, so `fn` must
+/// give the same result whoever runs a chunk; `rank` (0 for the caller,
+/// 1..size()-1 for the workers) only indexes per-participant scratch.
+class Team {
+ public:
+  using ChunkFn = std::function<void(std::size_t chunk, std::size_t rank)>;
+
+  /// A team of the caller and `pool`'s workers; nullptr makes the caller
+  /// a team of one. `pool` must outlive the Team.
+  explicit Team(ThreadPool* pool);
+  /// Releases the workers; ones that never joined skip their task.
+  ~Team();
+
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+
+  /// Number of ranks: the pool's workers plus the caller.
+  std::size_t size() const { return size_; }
+
+  /// Runs fn(chunk, rank) once for every chunk in [0, chunks) and returns
+  /// when all have finished. If chunks throw, every chunk still runs, and
+  /// then one of the exceptions is rethrown.
+  void run(std::size_t chunks, const ChunkFn& fn);
+
+ private:
+  struct State;
+  std::shared_ptr<State> state_;
+  std::size_t size_;
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace maopt

@@ -16,7 +16,8 @@ Critic::Critic(std::size_t dim, std::size_t num_metrics, const CriticConfig& con
       num_metrics_(num_metrics),
       config_(config),
       mlp_(make_net(dim, num_metrics, config, rng)),
-      adam_(mlp_.params(), {.lr = config.learning_rate}) {}
+      adam_(mlp_.params(), {.lr = config.learning_rate}),
+      step_(mlp_, adam_) {}
 
 Critic::Critic(const Critic& other)
     : dim_(other.dim_),
@@ -24,6 +25,7 @@ Critic::Critic(const Critic& other)
       config_(other.config_),
       mlp_(other.mlp_),
       adam_(mlp_.params(), {.lr = other.config_.learning_rate}),
+      step_(mlp_, adam_),
       norm_(other.norm_) {}
 
 void Critic::fit_normalizer(const std::vector<SimRecord>& records) {
@@ -37,17 +39,22 @@ void Critic::fit_normalizer(const std::vector<SimRecord>& records) {
   norm_.fit(metrics);
 }
 
-double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng) {
+double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool) {
   MAOPT_CHECK(norm_.fitted(), "Critic::train_round: fit_normalizer must run first");
   MAOPT_CHECK(config_.batch_size > 0, "Critic::train_round: batch_size must be >= 1");
+  Team team(pool);
+  const Team::ChunkFn rows = [this](std::size_t chunk, std::size_t rank) {
+    step_.run_rows(chunk, rank);
+  };
+  const Team::ChunkFn params = [this](std::size_t chunk, std::size_t) { step_.run_params(chunk); };
   double total = 0.0;
   for (int s = 0; s < config_.steps_per_round; ++s) {
     batcher.sample(config_.batch_size, rng, batch_x_, batch_y_raw_);
     norm_.transform_into(batch_y_raw_, batch_y_);
-    const nn::Mat& pred = mlp_.forward(batch_x_);
-    total += nn::mse_loss(pred, batch_y_, &batch_grad_);
-    mlp_.backward_params(batch_grad_);
-    adam_.step();
+    step_.begin(batch_x_, batch_y_, team.size());
+    team.run(step_.row_chunks(), rows);
+    team.run(step_.param_chunks(), params);
+    total += step_.loss();
   }
   return total / std::max(1, config_.steps_per_round);
 }
@@ -99,14 +106,14 @@ double CriticEnsemble::train_round(const PseudoSampleBatcher& batcher, Rng& rng,
   // execution produce bit-identical parameters.
   const std::uint64_t round_key = rng.next();
   std::vector<double> losses(members_.size(), 0.0);
-  auto train_member = [&](std::size_t i) {
+  auto train_member = [&](std::size_t i, ThreadPool* team_pool) {
     Rng member_rng(derive_seed(round_key, i));
-    losses[i] = members_[i].train_round(batcher, member_rng);
+    losses[i] = members_[i].train_round(batcher, member_rng, team_pool);
   };
   if (pool != nullptr && pool->size() > 1 && members_.size() > 1) {
-    pool->parallel_for(members_.size(), train_member);
+    pool->parallel_for(members_.size(), [&](std::size_t i) { train_member(i, nullptr); });
   } else {
-    for (std::size_t i = 0; i < members_.size(); ++i) train_member(i);
+    for (std::size_t i = 0; i < members_.size(); ++i) train_member(i, pool);
   }
   double total = 0.0;
   for (const double l : losses) total += l;  // fixed order: thread-count invariant

@@ -52,10 +52,12 @@ class Critic final : public Surrogate {
   Critic(const Critic& other);
   Critic& operator=(const Critic&) = delete;
 
-  /// Refits the metric normalizer on the current population and runs
-  /// `steps_per_round` minibatch steps on pseudo-samples. Returns mean MSE
-  /// (normalized units) over the round.
-  double train_round(const PseudoSampleBatcher& batcher, Rng& rng);
+  /// Runs `steps_per_round` minibatch steps on pseudo-samples (after
+  /// fit_normalizer). Each step runs on a Team of the caller and `pool`'s
+  /// workers (nullptr: the caller alone); the parameters and the loss are
+  /// the same bits for every pool size. Returns mean MSE (normalized units)
+  /// over the round.
+  double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
 
   using Surrogate::predict;
   void predict(const nn::Mat& x_dx, nn::Mat& raw) override;
@@ -77,9 +79,10 @@ class Critic final : public Surrogate {
   CriticConfig config_;
   nn::Mlp mlp_;
   nn::Adam adam_;
+  nn::MseStep step_;
   nn::ZScoreNormalizer norm_;
   // Minibatch scratch reused across all train_round calls (not copied).
-  nn::Mat batch_x_, batch_y_raw_, batch_y_, batch_grad_;
+  nn::Mat batch_x_, batch_y_raw_, batch_y_;
   // action_gradient's normalized-output gradient (not copied).
   nn::Mat dz_;
 };
@@ -94,10 +97,11 @@ class CriticEnsemble final : public Surrogate {
                  const CriticConfig& config, Rng& rng);
   CriticEnsemble(const CriticEnsemble& other) = default;
 
-  /// Trains every member for one round, across `pool` when given (nullptr or
-  /// a 1-worker pool trains serially). Each member draws from its own
-  /// derive_seed-derived stream keyed off a single draw from `rng`, so the
-  /// resulting parameters are bit-identical for every thread count.
+  /// Trains every member for one round: several members across `pool`,
+  /// one at a time each on a Team with `pool` otherwise (nullptr: serially).
+  /// Each member draws from its own derive_seed-derived stream keyed off a
+  /// single draw from `rng`, so the resulting parameters are bit-identical
+  /// for every thread count.
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
   void fit_normalizer(const std::vector<SimRecord>& records, ThreadPool* pool = nullptr);
 

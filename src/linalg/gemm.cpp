@@ -16,8 +16,8 @@
 //     kernel fused a product into an add, fma<Isa>() spells the FMA out;
 //     where it rounded the product first, the product goes through
 //     rounded(), which contraction cannot see through.
-//   * The kept scalar code (gemm_nt's edge tails, the wide gemm_nn/gemm_tn
-//     loops) is the old source and still relies on GCC's contraction,
+//   * The kept scalar code (gemm_nt's edge tails) is the old source and
+//     still relies on GCC's contraction,
 //     which rounds it differently at -O2 and -O3 (-O3 vectorizes gemm_nt's
 //     dot products as in-order multiply-then-add, -O2 fuses them).
 //     src/CMakeLists.txt therefore builds this file, and the reference, at
@@ -29,17 +29,10 @@ namespace maopt::linalg {
 
 namespace {
 
-// Tile sizes of the wide gemm_nn/gemm_tn loops: a kRowsTile x kDepthTile
-// panel of A (32 KB) plus a kDepthTile x kColsTile panel of B (128 KB) fit
-// in L2, while the kColsTile-wide C/B row segments the inner loop touches
-// stay in L1.
-constexpr std::size_t kRowsTile = 64;
-constexpr std::size_t kDepthTile = 64;
-constexpr std::size_t kColsTile = 256;
-
-// gemm_nn/gemm_tn outputs at most this wide (the MLPs' top layers: 9
-// metrics for the critic, 16 design variables for an actor on the OTA)
-// keep their C block in registers for the whole k loop.
+// gemm_nn/gemm_tn outputs wider than this (the MLPs' hidden layers; the
+// top layers have 9 metrics for the critic, 16 design variables for an
+// actor on the OTA) run panels of three lane vectors, 4 rows x 12 columns
+// of C in registers with AVX2; narrower ones panels of at most two.
 constexpr std::size_t kNarrowCols = 16;
 
 #define MAOPT_GEMM_INLINE inline __attribute__((always_inline))
@@ -135,21 +128,21 @@ MAOPT_GEMM_INLINE V fma(V a, V b, V c) {
 
 // ---------------------------------------------------------------- gemm_nn/tn
 
+// Element (i, p) of op(A): A is (m x k) with leading dimension lda, or
+// for kTransA stored (k x m) with leading dimension lda.
 template <bool kTransA>
-MAOPT_GEMM_INLINE double a_at(const double* a, std::size_t m, std::size_t k, std::size_t i,
-                              std::size_t p) {
-  return kTransA ? a[p * m + i] : a[i * k + p];
+MAOPT_GEMM_INLINE double a_at(const double* a, std::size_t lda, std::size_t i, std::size_t p) {
+  return kTransA ? a[p * lda + i] : a[i * lda + p];
 }
 
 // C rows [i, i+R) x NV lane vectors of columns from j, held in registers
-// across the whole k loop. Per element this is the tile loop's arithmetic:
-// each group of four consecutive p (groups start at multiples of 4, also
-// across depth tiles, which are 64 deep) adds
+// across the whole k loop. Per element: each group of four consecutive p
+// (groups start at multiples of 4) adds
 //   t = fma(a0, b0, round(a1 * b1)); t = fma(a2, b2, t); t = fma(a3, b3, t)
 // to c, and the last k % 4 terms are fused into c one by one. Without an
 // FMA unit every fma here is a rounded product plus a rounded add.
 template <class Isa, class V, std::size_t R, std::size_t NV, bool kTransA>
-MAOPT_GEMM_INLINE void narrow_block(std::size_t i, std::size_t j, std::size_t m, std::size_t n,
+MAOPT_GEMM_INLINE void narrow_block(std::size_t i, std::size_t j, std::size_t lda, std::size_t n,
                                     std::size_t k, const double* a, const double* b, double* c) {
   constexpr std::size_t W = kLanes<V>;
   V acc[R][NV];
@@ -162,10 +155,10 @@ MAOPT_GEMM_INLINE void narrow_block(std::size_t i, std::size_t j, std::size_t m,
     const double* b2 = b1 + n;
     const double* b3 = b2 + n;
     for (std::size_t r = 0; r < R; ++r) {
-      const V x0 = splat<V>(a_at<kTransA>(a, m, k, i + r, p));
-      const V x1 = splat<V>(a_at<kTransA>(a, m, k, i + r, p + 1));
-      const V x2 = splat<V>(a_at<kTransA>(a, m, k, i + r, p + 2));
-      const V x3 = splat<V>(a_at<kTransA>(a, m, k, i + r, p + 3));
+      const V x0 = splat<V>(a_at<kTransA>(a, lda, i + r, p));
+      const V x1 = splat<V>(a_at<kTransA>(a, lda, i + r, p + 1));
+      const V x2 = splat<V>(a_at<kTransA>(a, lda, i + r, p + 2));
+      const V x3 = splat<V>(a_at<kTransA>(a, lda, i + r, p + 3));
       for (std::size_t v = 0; v < NV; ++v) {
         V t = fma<Isa>(x0, load<V>(b0 + v * W), rounded(x1 * load<V>(b1 + v * W)));
         t = fma<Isa>(x2, load<V>(b2 + v * W), t);
@@ -177,7 +170,7 @@ MAOPT_GEMM_INLINE void narrow_block(std::size_t i, std::size_t j, std::size_t m,
   for (; p < k; ++p) {
     const double* bp = b + p * n + j;
     for (std::size_t r = 0; r < R; ++r) {
-      const V x = splat<V>(a_at<kTransA>(a, m, k, i + r, p));
+      const V x = splat<V>(a_at<kTransA>(a, lda, i + r, p));
       for (std::size_t v = 0; v < NV; ++v) acc[r][v] = fma<Isa>(x, load<V>(bp + v * W), acc[r][v]);
     }
   }
@@ -187,171 +180,26 @@ MAOPT_GEMM_INLINE void narrow_block(std::size_t i, std::size_t j, std::size_t m,
 
 // One column panel (NV vectors of V from column j) down all m rows.
 template <class Isa, class V, std::size_t NV, bool kTransA>
-MAOPT_GEMM_INLINE void narrow_panel(std::size_t j, std::size_t m, std::size_t n, std::size_t k,
-                                    const double* a, const double* b, double* c) {
+MAOPT_GEMM_INLINE void narrow_panel(std::size_t j, std::size_t m, std::size_t lda, std::size_t n,
+                                    std::size_t k, const double* a, const double* b, double* c) {
   std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) narrow_block<Isa, V, 4, NV, kTransA>(i, j, m, n, k, a, b, c);
-  for (; i < m; ++i) narrow_block<Isa, V, 1, NV, kTransA>(i, j, m, n, k, a, b, c);
+  for (; i + 4 <= m; i += 4) narrow_block<Isa, V, 4, NV, kTransA>(i, j, lda, n, k, a, b, c);
+  for (; i < m; ++i) narrow_block<Isa, V, 1, NV, kTransA>(i, j, lda, n, k, a, b, c);
 }
 
-// C (m x n, n <= kNarrowCols) += op(A) B: panels of two vectors, one vector,
-// then single columns.
+// C (m x n) += op(A) B: for wide outputs panels of three vectors, then
+// panels of two vectors, one vector, and single columns.
 template <class Isa, bool kTransA>
-MAOPT_GEMM_INLINE void gemm_narrow(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                                   const double* b, double* c) {
+MAOPT_GEMM_INLINE void gemm_panels(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                                   std::size_t lda, const double* b, double* c) {
   using V = typename Isa::V;
   constexpr std::size_t W = kLanes<V>;
   std::size_t j = 0;
-  for (; j + 2 * W <= n; j += 2 * W) narrow_panel<Isa, V, 2, kTransA>(j, m, n, k, a, b, c);
-  for (; j + W <= n; j += W) narrow_panel<Isa, V, 1, kTransA>(j, m, n, k, a, b, c);
-  for (; j < n; ++j) narrow_panel<Isa, double, 1, kTransA>(j, m, n, k, a, b, c);
-}
-
-// Wide gemm_nn (n > kNarrowCols): the cache-tiled loop, whose inner j loop
-// GCC vectorizes across C row segments.
-MAOPT_GEMM_INLINE void gemm_nn_tiled(std::size_t m, std::size_t n, std::size_t k,
-                                     const double* a, const double* b, double* c) {
-  for (std::size_t jj = 0; jj < n; jj += kColsTile) {
-    const std::size_t jend = std::min(n, jj + kColsTile);
-    for (std::size_t kk = 0; kk < k; kk += kDepthTile) {
-      const std::size_t kend = std::min(k, kk + kDepthTile);
-      for (std::size_t ii = 0; ii < m; ii += kRowsTile) {
-        const std::size_t iend = std::min(m, ii + kRowsTile);
-        std::size_t i = ii;
-        // 2x4 register micro-kernel: two C rows retire four rank-1 updates
-        // per pass, so each quartet of B-row loads feeds sixteen flops.
-        for (; i + 2 <= iend; i += 2) {
-          const double* arow0 = a + i * k;
-          const double* arow1 = arow0 + k;
-          double* crow0 = c + i * n;
-          double* crow1 = crow0 + n;
-          std::size_t p = kk;
-          for (; p + 4 <= kend; p += 4) {
-            const double a00 = arow0[p], a01 = arow0[p + 1], a02 = arow0[p + 2],
-                         a03 = arow0[p + 3];
-            const double a10 = arow1[p], a11 = arow1[p + 1], a12 = arow1[p + 2],
-                         a13 = arow1[p + 3];
-            const double* b0 = b + p * n;
-            const double* b1 = b0 + n;
-            const double* b2 = b1 + n;
-            const double* b3 = b2 + n;
-            for (std::size_t j = jj; j < jend; ++j) {
-              const double bv0 = b0[j], bv1 = b1[j], bv2 = b2[j], bv3 = b3[j];
-              crow0[j] += a00 * bv0 + a01 * bv1 + a02 * bv2 + a03 * bv3;
-              crow1[j] += a10 * bv0 + a11 * bv1 + a12 * bv2 + a13 * bv3;
-            }
-          }
-          for (; p < kend; ++p) {
-            const double a0 = arow0[p], a1 = arow1[p];
-            const double* bp = b + p * n;
-            for (std::size_t j = jj; j < jend; ++j) {
-              crow0[j] += a0 * bp[j];
-              crow1[j] += a1 * bp[j];
-            }
-          }
-        }
-        for (; i < iend; ++i) {
-          const double* arow = a + i * k;
-          double* crow = c + i * n;
-          std::size_t p = kk;
-          for (; p + 4 <= kend; p += 4) {
-            const double a0 = arow[p], a1 = arow[p + 1], a2 = arow[p + 2], a3 = arow[p + 3];
-            const double* b0 = b + p * n;
-            const double* b1 = b0 + n;
-            const double* b2 = b1 + n;
-            const double* b3 = b2 + n;
-            for (std::size_t j = jj; j < jend; ++j)
-              crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-          }
-          for (; p < kend; ++p) {
-            const double ap = arow[p];
-            const double* bp = b + p * n;
-            for (std::size_t j = jj; j < jend; ++j) crow[j] += ap * bp[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-// Wide gemm_tn: the same tile loop reading A (k x m) by columns; column i of
-// A^T is the stride-m column i of A, and columns i, i+1 sit side by side.
-MAOPT_GEMM_INLINE void gemm_tn_tiled(std::size_t m, std::size_t n, std::size_t k,
-                                     const double* a, const double* b, double* c) {
-  for (std::size_t kk = 0; kk < k; kk += kDepthTile) {
-    const std::size_t kend = std::min(k, kk + kDepthTile);
-    for (std::size_t ii = 0; ii < m; ii += kRowsTile) {
-      const std::size_t iend = std::min(m, ii + kRowsTile);
-      std::size_t i = ii;
-      for (; i + 2 <= iend; i += 2) {
-        double* crow0 = c + i * n;
-        double* crow1 = crow0 + n;
-        std::size_t p = kk;
-        for (; p + 4 <= kend; p += 4) {
-          const double a00 = a[p * m + i], a10 = a[p * m + i + 1];
-          const double a01 = a[(p + 1) * m + i], a11 = a[(p + 1) * m + i + 1];
-          const double a02 = a[(p + 2) * m + i], a12 = a[(p + 2) * m + i + 1];
-          const double a03 = a[(p + 3) * m + i], a13 = a[(p + 3) * m + i + 1];
-          const double* b0 = b + p * n;
-          const double* b1 = b0 + n;
-          const double* b2 = b1 + n;
-          const double* b3 = b2 + n;
-          for (std::size_t j = 0; j < n; ++j) {
-            const double bv0 = b0[j], bv1 = b1[j], bv2 = b2[j], bv3 = b3[j];
-            crow0[j] += a00 * bv0 + a01 * bv1 + a02 * bv2 + a03 * bv3;
-            crow1[j] += a10 * bv0 + a11 * bv1 + a12 * bv2 + a13 * bv3;
-          }
-        }
-        for (; p < kend; ++p) {
-          const double a0 = a[p * m + i], a1 = a[p * m + i + 1];
-          const double* bp = b + p * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            crow0[j] += a0 * bp[j];
-            crow1[j] += a1 * bp[j];
-          }
-        }
-      }
-      for (; i < iend; ++i) {
-        double* crow = c + i * n;
-        std::size_t p = kk;
-        for (; p + 4 <= kend; p += 4) {
-          const double a0 = a[p * m + i];
-          const double a1 = a[(p + 1) * m + i];
-          const double a2 = a[(p + 2) * m + i];
-          const double a3 = a[(p + 3) * m + i];
-          const double* b0 = b + p * n;
-          const double* b1 = b0 + n;
-          const double* b2 = b1 + n;
-          const double* b3 = b2 + n;
-          for (std::size_t j = 0; j < n; ++j)
-            crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-        }
-        for (; p < kend; ++p) {
-          const double ap = a[p * m + i];
-          const double* bp = b + p * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += ap * bp[j];
-        }
-      }
-    }
-  }
-}
-
-template <class Isa>
-MAOPT_GEMM_INLINE void gemm_nn_kernel(std::size_t m, std::size_t n, std::size_t k,
-                                      const double* a, const double* b, double* c) {
-  if (n <= kNarrowCols)
-    gemm_narrow<Isa, false>(m, n, k, a, b, c);
-  else
-    gemm_nn_tiled(m, n, k, a, b, c);
-}
-
-template <class Isa>
-MAOPT_GEMM_INLINE void gemm_tn_kernel(std::size_t m, std::size_t n, std::size_t k,
-                                      const double* a, const double* b, double* c) {
-  if (n <= kNarrowCols)
-    gemm_narrow<Isa, true>(m, n, k, a, b, c);
-  else
-    gemm_tn_tiled(m, n, k, a, b, c);
+  if (n > kNarrowCols)
+    for (; j + 3 * W <= n; j += 3 * W) narrow_panel<Isa, V, 3, kTransA>(j, m, lda, n, k, a, b, c);
+  for (; j + 2 * W <= n; j += 2 * W) narrow_panel<Isa, V, 2, kTransA>(j, m, lda, n, k, a, b, c);
+  for (; j + W <= n; j += W) narrow_panel<Isa, V, 1, kTransA>(j, m, lda, n, k, a, b, c);
+  for (; j < n; ++j) narrow_panel<Isa, double, 1, kTransA>(j, m, lda, n, k, a, b, c);
 }
 
 // -------------------------------------------------------------------- gemm_nt
@@ -501,13 +349,13 @@ using BaseIsa = Sse2;
 MAOPT_TARGET_V3
 MAOPT_HOT void gemm_nn_v3(std::size_t m, std::size_t n, std::size_t k, const double* a,
                           const double* b, double* c) {
-  gemm_nn_kernel<Avx2>(m, n, k, a, b, c);
+  gemm_panels<Avx2, false>(m, n, k, a, k, b, c);
 }
 
 MAOPT_TARGET_V3
 MAOPT_HOT void gemm_tn_v3(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                          const double* b, double* c) {
-  gemm_tn_kernel<Avx2>(m, n, k, a, b, c);
+                          std::size_t lda, const double* b, double* c) {
+  gemm_panels<Avx2, true>(m, n, k, a, lda, b, c);
 }
 
 MAOPT_TARGET_V3
@@ -542,19 +390,20 @@ MAOPT_HOT void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double
     return;
   }
 #endif
-  gemm_nn_kernel<BaseIsa>(m, n, k, a, b, c);
+  gemm_panels<BaseIsa, false>(m, n, k, a, k, b, c);
 }
 
 MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                       const double* b, double* c) {
+                       std::size_t lda, const double* b, double* c) {
   dcheck_gemm_args(m, n, k, a, b, c);
+  MAOPT_DCHECK(lda >= m, "gemm_tn: lda < m");
 #if MAOPT_V3_DISPATCH
   if (host_has_v3()) {
-    gemm_tn_v3(m, n, k, a, b, c);
+    gemm_tn_v3(m, n, k, a, lda, b, c);
     return;
   }
 #endif
-  gemm_tn_kernel<BaseIsa>(m, n, k, a, b, c);
+  gemm_panels<BaseIsa, true>(m, n, k, a, lda, b, c);
 }
 
 MAOPT_HOT void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,

@@ -25,9 +25,9 @@
 // GCC -O3 built them), pinned by tests/linalg/test_gemm_bits.cpp against a
 // frozen copy of those kernels.
 //
-// Speed. With n <= 16 outputs (the MLPs' top layers), gemm_nn and gemm_tn
-// keep the whole C block in vector registers for the full k loop; wider
-// outputs run a cache-tiled loop that streams C row segments. gemm_nt
+// Speed. gemm_nn and gemm_tn keep a block of C in vector registers for the
+// full k loop: 4 rows x 3 vectors (12 columns with AVX2) for outputs wider
+// than 16, at most 2 vectors for the MLPs' narrow top layers. gemm_nt
 // reads B^T through a packed copy: it transposes the first n - n % 4 rows
 // of B into the caller's `pack` scratch on every call (B is a weight matrix
 // that changes between calls, so a pack is never reused) and then
@@ -53,9 +53,11 @@ namespace maopt::linalg {
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
              double* c);
 
-/// C (m x n) += A^T * B where A is stored (k x m) row-major.
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-             double* c);
+/// C (m x n) += A^T * B where A is stored (k x lda) row-major and its first
+/// m columns are read (lda >= m): a column slice of a wider A is a pointer
+/// to its first column plus the full row length.
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
+             const double* b, double* c);
 
 /// C (m x n) += A * B^T where B is stored (n x k) row-major. `pack` is
 /// scratch for at least n * k doubles, overwritten on every call; it may be

@@ -2,23 +2,25 @@
 
 #include <cmath>
 
+#include "common/check.hpp"
 #include "common/thread_annotations.hpp"
+#include "linalg/dispatch.hpp"
 
 namespace maopt::nn {
 
 namespace {
 
-// Same runtime dispatch as the GEMM kernels: the sqrt/divide chain here is
-// the second-hottest loop in training, and the AVX2 clone retires it 4-wide.
-// Cloning is disabled under sanitizers for the same reasons as in gemm.cpp.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && !defined(__AVX2__) && \
-    !defined(MAOPT_NO_TARGET_CLONES) && !defined(__SANITIZE_ADDRESS__) &&                    \
-    !defined(__SANITIZE_THREAD__)
-__attribute__((target_clones("default", "arch=x86-64-v3")))
-#endif
+// The sqrt/divide chain here is the second-hottest loop in training. It
+// vectorizes only because src/CMakeLists.txt builds this file with
+// -fno-math-errno (with errno semantics GCC must keep a scalar sqrt and a
+// libm call for negative inputs); the x86-64-v3 clone then retires it
+// 4-wide. sqrt and division round the same in every lane, so the bits
+// match the scalar loop (tests/nn/test_adam_bits.cpp).
+MAOPT_TARGET_CLONES
 MAOPT_HOT void adam_update(double* value, double* grad, double* m, double* v, std::size_t size,
-                 double beta1, double one_minus_beta1, double beta2, double one_minus_beta2,
-                 double inv_bc1, double inv_bc2, double lr, double eps, double wd) {
+                           double beta1, double one_minus_beta1, double beta2,
+                           double one_minus_beta2, double inv_bc1, double inv_bc2, double lr,
+                           double eps, double wd) {
   for (std::size_t i = 0; i < size; ++i) {
     const double g = grad[i];
     m[i] = beta1 * m[i] + one_minus_beta1 * g;
@@ -42,20 +44,26 @@ Adam::Adam(std::vector<ParamRef> params, AdamConfig config)
   }
 }
 
-MAOPT_HOT void Adam::step() {
+void Adam::begin_step() {
   ++t_;
   // Hoist the bias corrections as reciprocals: the update then costs one
   // sqrt and one division per parameter instead of one sqrt and three.
-  const double inv_bc1 = 1.0 / (1.0 - std::pow(config_.beta1, static_cast<double>(t_)));
-  const double inv_bc2 = 1.0 / (1.0 - std::pow(config_.beta2, static_cast<double>(t_)));
-  const double beta1 = config_.beta1, one_minus_beta1 = 1.0 - config_.beta1;
-  const double beta2 = config_.beta2, one_minus_beta2 = 1.0 - config_.beta2;
-  const double lr = config_.lr, eps = config_.eps, wd = config_.weight_decay;
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    adam_update(params_[k].value->data(), params_[k].grad->data(), m_[k].data(), v_[k].data(),
-                params_[k].value->size(), beta1, one_minus_beta1, beta2, one_minus_beta2,
-                inv_bc1, inv_bc2, lr, eps, wd);
-  }
+  inv_bc1_ = 1.0 / (1.0 - std::pow(config_.beta1, static_cast<double>(t_)));
+  inv_bc2_ = 1.0 / (1.0 - std::pow(config_.beta2, static_cast<double>(t_)));
+}
+
+MAOPT_HOT void Adam::update(std::size_t param, std::size_t lo, std::size_t hi) {
+  MAOPT_DCHECK(param < params_.size() && lo <= hi && hi <= params_[param].value->size(),
+               "Adam::update: slice out of range");
+  adam_update(params_[param].value->data() + lo, params_[param].grad->data() + lo,
+              m_[param].data() + lo, v_[param].data() + lo, hi - lo, config_.beta1,
+              1.0 - config_.beta1, config_.beta2, 1.0 - config_.beta2, inv_bc1_, inv_bc2_,
+              config_.lr, config_.eps, config_.weight_decay);
+}
+
+MAOPT_HOT void Adam::step() {
+  begin_step();
+  for (std::size_t k = 0; k < params_.size(); ++k) update(k, 0, params_[k].value->size());
 }
 
 }  // namespace maopt::nn

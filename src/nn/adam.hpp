@@ -19,8 +19,17 @@ class Adam {
  public:
   explicit Adam(std::vector<ParamRef> params, AdamConfig config = {});
 
-  /// Applies one update from the accumulated gradients, then zeroes them.
+  /// Applies one update from the accumulated gradients, then zeroes them:
+  /// begin_step(), then update() over every parameter in full.
   void step();
+
+  /// The sliced form of step(), for a team that updates disjoint slices
+  /// concurrently (DESIGN §12): begin_step() advances the step count once,
+  /// then update(k, lo, hi) applies elements [lo, hi) of parameter k and
+  /// zeroes their gradients. The update is elementwise, so covering every
+  /// element once gives step()'s bits.
+  void begin_step();
+  void update(std::size_t param, std::size_t lo, std::size_t hi);
 
   void set_learning_rate(double lr) { config_.lr = lr; }
   double learning_rate() const { return config_.lr; }
@@ -30,6 +39,8 @@ class Adam {
   AdamConfig config_;
   std::vector<Vec> m_, v_;
   long t_ = 0;
+  // Bias corrections of the current step, as reciprocals.
+  double inv_bc1_ = 0.0, inv_bc2_ = 0.0;
 };
 
 }  // namespace maopt::nn

@@ -65,6 +65,23 @@ class Layer {
   /// the bottom layer of a stack, where the input gradient is discarded.
   virtual void param_gradient(const Mat& dy) { backward(dy); }
 
+  // Row-block kernels of a team training step (nn::MseStep, DESIGN §12).
+  // Each writes only rows [r0, r1) of its output matrix, which the caller
+  // has shaped for the whole batch, so disjoint row blocks may run
+  // concurrently; forward() and input_gradient() run them over all rows.
+
+  /// y = f(x) on rows [r0, r1).
+  virtual void forward_rows(const Mat& x, Mat& y, std::size_t r0, std::size_t r1) const = 0;
+
+  /// dx = dL/dX on rows [r0, r1), given dy and this layer's forward output
+  /// y. `pack` is scratch for pack_size() doubles. r0 must be even: the
+  /// input-gradient GEMM rounds row pairs and a lone last row differently.
+  virtual void input_gradient_rows(const Mat& y, const Mat& dy, Mat& dx, std::size_t r0,
+                                   std::size_t r1, double* pack) const = 0;
+
+  /// Doubles of scratch input_gradient_rows() needs.
+  virtual std::size_t pack_size() const { return 0; }
+
   /// Parameter (value, grad) pairs; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }
 
@@ -97,9 +114,21 @@ class Linear final : public Layer {
   const Mat& backward(const Mat& dy) override;
   const Mat& input_gradient(const Mat& dy) override;
   void param_gradient(const Mat& dy) override;
+  void forward_rows(const Mat& x, Mat& y, std::size_t r0, std::size_t r1) const override;
+  void input_gradient_rows(const Mat& y, const Mat& dy, Mat& dx, std::size_t r0, std::size_t r1,
+                           double* pack) const override;
+  std::size_t pack_size() const override { return in_ * out_; }
   std::vector<ParamRef> params() override;
   std::vector<ConstParamRef> params() const override;
   std::unique_ptr<Layer> clone() const override;
+
+  /// Accumulates one slice of the parameter gradients for input x and
+  /// output gradient dy: weight-gradient rows [i0, i1) (dW += X^T dY over
+  /// the batch) and bias-gradient columns [j0, j1). Concurrent calls on
+  /// disjoint slices are safe, and the slices of a partition together give
+  /// param_gradient()'s bits.
+  void param_gradient_slice(const Mat& x, const Mat& dy, std::size_t i0, std::size_t i1,
+                            std::size_t j0, std::size_t j1);
 
   std::size_t input_size() const override { return in_; }
   std::size_t output_size() const override { return out_; }
@@ -109,6 +138,9 @@ class Linear final : public Layer {
   Vec& bias() { return b_; }
 
  private:
+  // clone()'s constructor: given weights, zero gradients, no rng draws.
+  Linear(std::size_t in, std::size_t out, Vec w, Vec b);
+
   const Mat& input_gradient_into(const Mat& dy);
   void check_backward_input(const Mat& dy, const char* who) const;
 
@@ -137,6 +169,9 @@ class Tanh final : public Layer {
   explicit Tanh(std::size_t size) : size_(size) {}
   const Mat& forward(const Mat& x) override;
   const Mat& backward(const Mat& dy) override;
+  void forward_rows(const Mat& x, Mat& y, std::size_t r0, std::size_t r1) const override;
+  void input_gradient_rows(const Mat& y, const Mat& dy, Mat& dx, std::size_t r0, std::size_t r1,
+                           double* pack) const override;
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Tanh>(size_); }
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
@@ -151,6 +186,9 @@ class Relu final : public Layer {
   explicit Relu(std::size_t size) : size_(size) {}
   const Mat& forward(const Mat& x) override;
   const Mat& backward(const Mat& dy) override;
+  void forward_rows(const Mat& x, Mat& y, std::size_t r0, std::size_t r1) const override;
+  void input_gradient_rows(const Mat& y, const Mat& dy, Mat& dx, std::size_t r0, std::size_t r1,
+                           double* pack) const override;
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Relu>(size_); }
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }

@@ -10,6 +10,8 @@
 
 namespace maopt::nn {
 
+class Adam;
+
 enum class Activation { Tanh, Relu };
 
 class Mlp {
@@ -49,10 +51,60 @@ class Mlp {
   std::size_t num_parameters() const;
 
  private:
+  friend class MseStep;
+
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
 /// Mean-squared-error over all entries; fills dL/dY_pred into `grad`.
 double mse_loss(const Mat& pred, const Mat& target, Mat* grad);
+
+/// One minibatch step of MSE regression with Adam, split for a Team
+/// (DESIGN §12): begin() on one thread, then every row chunk, then every
+/// parameter chunk; the chunks of a phase may run concurrently, in any
+/// order, on any rank. A row chunk runs the forward pass, the MSE gradient
+/// and the input-gradient chain for a block of minibatch rows. A parameter
+/// chunk computes one slice of a Linear's dW and db and applies Adam to it.
+/// Every element rounds exactly as in forward(), mse_loss(),
+/// backward_params() and Adam::step(), so a step gives the same bits
+/// whatever the team size or the chunk order.
+class MseStep {
+ public:
+  /// `adam` must update exactly net.params(), in that order. Both must
+  /// outlive the step.
+  MseStep(Mlp& net, Adam& adam);
+
+  /// Shapes the step's buffers for batch x (input) and target, with pack
+  /// scratch for `ranks` ranks, and starts the Adam step. x and target are
+  /// borrowed until the parameter phase ends.
+  void begin(const Mat& x, const Mat& target, std::size_t ranks);
+
+  std::size_t row_chunks() const;
+  void run_rows(std::size_t chunk, std::size_t rank);
+
+  std::size_t param_chunks() const { return slices_.size(); }
+  void run_params(std::size_t chunk);
+
+  /// The batch's loss, as mse_loss() returns it; valid after the row phase.
+  double loss() const;
+
+ private:
+  // Weights and bias entries of one parameter chunk: rows [i0, i1) of a
+  // Linear's weights and columns [j0, j1) of its bias.
+  struct Slice {
+    Linear* linear;
+    std::size_t layer, param;  // layer index; index of its weights in net.params()
+    std::size_t i0, i1, j0, j1;
+  };
+
+  Mlp* net_;
+  Adam* adam_;
+  std::vector<Slice> slices_;
+  const Mat* x_ = nullptr;
+  const Mat* target_ = nullptr;
+  std::vector<Mat> act_;   // act_[l]: output of layer l
+  std::vector<Mat> grad_;  // grad_[l]: dL/d(output of layer l)
+  std::vector<Vec> pack_;  // per-rank gemm_nt scratch
+};
 
 }  // namespace maopt::nn

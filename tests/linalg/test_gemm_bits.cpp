@@ -67,7 +67,7 @@ bool same_bits(Kernel kernel, std::size_t m, std::size_t n, std::size_t k, Rng& 
       reference::gemm_nn(m, n, k, a.data(), b.data(), ref.data());
       break;
     case Kernel::kTn:
-      gemm_tn(m, n, k, a.data(), b.data(), live.data());
+      gemm_tn(m, n, k, a.data(), m, b.data(), live.data());
       reference::gemm_tn(m, n, k, a.data(), b.data(), ref.data());
       break;
     case Kernel::kNt: {
@@ -117,6 +117,44 @@ TEST(GemmBits, MlpLayerShapesMatchReference) {
     EXPECT_TRUE(same_bits(Kernel::kTn, in, out, 64, rng)) << "tn " << in << "->" << out;
     EXPECT_TRUE(same_bits(Kernel::kNt, 64, in, out, rng)) << "nt " << in << "->" << out;
   }
+}
+
+// gemm_tn on a column slice of a wider A (lda > m), the way a team rank
+// takes rows [i0, i0 + m) of a weight gradient: the bits must equal the
+// reference run on a compact copy of the slice.
+TEST(GemmBits, TnColumnSliceMatchesReferenceBitForBit) {
+  Rng rng(31);
+  std::size_t cases = 0;
+  std::vector<std::string> mismatches;
+  const std::size_t kLdas[] = {100, 101};
+  for (const std::size_t lda : kLdas)
+    for (const std::size_t m : kMs)
+      for (const std::size_t n : kNs)
+        for (const std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{30},
+                                    std::size_t{64}, std::size_t{65}}) {
+          if (m > lda) continue;
+          for (const std::size_t i0 : {std::size_t{0}, std::size_t{1}, lda - m}) {
+            ++cases;
+            const std::vector<double> a = random_values(k * lda, rng);
+            const std::vector<double> b = random_values(k * n, rng);
+            const std::vector<double> c0 = random_values(m * n, rng);
+            std::vector<double> slice(k * m);
+            for (std::size_t p = 0; p < k; ++p)
+              for (std::size_t i = 0; i < m; ++i) slice[p * m + i] = a[p * lda + i0 + i];
+            std::vector<double> live = c0, ref = c0;
+            gemm_tn(m, n, k, a.data() + i0, lda, b.data(), live.data());
+            reference::gemm_tn(m, n, k, slice.data(), b.data(), ref.data());
+            if (std::memcmp(live.data(), ref.data(), live.size() * sizeof(double)) != 0)
+              mismatches.push_back(std::to_string(m) + "x" + std::to_string(n) + "x" +
+                                   std::to_string(k) + "@" + std::to_string(i0) + "/" +
+                                   std::to_string(lda));
+          }
+        }
+  std::string first;
+  for (std::size_t i = 0; i < mismatches.size() && i < 10; ++i) first += " " + mismatches[i];
+  EXPECT_TRUE(mismatches.empty()) << mismatches.size() << " of " << cases
+                                  << " column slices (m x n x k @ i0 / lda) differ, e.g."
+                                  << first;
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(GemmVariants, TransposedKernelsMatchExplicitTranspose) {
     const Mat a = random_matrix(k, m, rng);
     const Mat b = random_matrix(k, n, rng);
     Mat c(m, n, 0.0);
-    gemm_tn(m, n, k, a.data().data(), b.data().data(), c.data().data());
+    gemm_tn(m, n, k, a.data().data(), m, b.data().data(), c.data().data());
     expect_close(c, matmul(a.transposed(), b), 1e-11);
   }
   // gemm_nt: C += A B^T with B stored (n x k).
