@@ -1,6 +1,6 @@
 // Training-hot-path regression benchmark (the perf record behind the
-// runtime rows): measures the GEMM kernels, CriticEnsemble::train_round on
-// the paper net (2 x 100 hidden, batch 32), and end-to-end MA-Opt
+// runtime rows): measures the GEMM kernels, Critic/CriticEnsemble::train_round
+// on the paper net (2 x 100 hidden, batch 64), and end-to-end MA-Opt
 // simulations/s on an analytic problem, then writes BENCH_train.json so the
 // numbers are versioned and future PRs can spot regressions.
 //
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     metrics.push_back({"kernel_parallel_gflops", parallel_gf, "GFLOP/s"});
   }
 
-  // --- 2) critic train_round, paper net (2 x 100 hidden, batch 32) ---
+  // --- 2) critic train_round, paper net (2 x 100 hidden, batch 64) ---
   {
     const std::size_t dim = 16, num_metrics = 9;
     ckt::ConstrainedQuadratic problem(dim);
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
     core::CriticConfig cfg;
     cfg.hidden = {100, 100};
-    cfg.batch_size = 32;
+    cfg.batch_size = 64;  // the CriticConfig default that MA-Opt trains with
     cfg.steps_per_round = smoke ? 5 : 50;
     const int reps = smoke ? 2 : 20;
 
@@ -123,6 +123,21 @@ int main(int argc, char** argv) {
       const double ms = seconds_since(t0) / reps * 1e3;
       std::printf("critic train_round (1 member, serial): %.2f ms\n", ms);
       metrics.push_back({"train_round_ms", ms, "ms"});
+    }
+
+    // Single critic on a team of the caller and MA-Opt's default 3-worker
+    // pool (one worker per actor lane): the path MaOptimizer runs.
+    {
+      Rng crng(3), trng(4);
+      core::Critic critic(dim, num_metrics, cfg, crng);
+      critic.fit_normalizer(records);
+      ThreadPool pool(3);
+      checksum_sink += critic.train_round(batcher, trng, &pool);
+      const auto t0 = Clock::now();
+      for (int r = 0; r < reps; ++r) checksum_sink += critic.train_round(batcher, trng, &pool);
+      const double ms = seconds_since(t0) / reps * 1e3;
+      std::printf("critic train_round (1 member, team of 4): %.2f ms\n", ms);
+      metrics.push_back({"train_round_team_ms", ms, "ms"});
     }
 
     // Ensemble across the pool (the ablation num_critics>1 path).

@@ -73,45 +73,63 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 
 namespace {
 
-// The claim word of the open round: epoch (32 bits) | next chunk (16) |
-// chunk count (16). A participant claims chunk `next` by bumping it with a
-// compare-exchange, which fails if the round moved on, so a late worker can
-// never run a chunk of a newer round with an older round's count. While
-// chunks < kMaxChunks, no open round's word equals kClosed.
+// The claim word: phase epoch (32 bits) | next chunk (16) | chunk count
+// (16). A participant claims chunk `next` by bumping it with a
+// compare-exchange, which fails once the phase has moved on, so a late
+// worker never runs a chunk with another phase's word. Between runs the
+// word has a count of 0: nothing to claim. While counts stay below
+// kMaxChunks, no word equals kClosed.
 constexpr std::uint64_t kClosed = ~std::uint64_t{0};
 constexpr std::uint64_t kMaxChunks = 0xffff;
 constexpr std::uint64_t kNextOne = std::uint64_t{1} << 16;
 
+std::uint32_t epoch_of(std::uint64_t word) { return static_cast<std::uint32_t>(word >> 32); }
 std::size_t next_chunk(std::uint64_t word) { return (word >> 16) & kMaxChunks; }
 std::size_t chunk_count(std::uint64_t word) { return word & kMaxChunks; }
+std::uint64_t make_word(std::uint32_t epoch, std::size_t chunks) {
+  return (std::uint64_t{epoch} << 32) | chunks;
+}
 
 }  // namespace
 
 struct Team::State {
   std::atomic<std::uint64_t> claim{0};
-  // Chunks of the open round that have finished.
+  // Chunks of the open phase that have finished.
   std::atomic<std::uint32_t> done{0};
-  // The open round's body. Written by the caller before it publishes the
-  // round's word; read only by a participant holding a claimed chunk, which
-  // keeps the round open until it finishes.
-  const ChunkFn* fn = nullptr;
+  // The open run: its phases and the epoch of its first phase. Written by
+  // the caller before it publishes the first phase's word; read only by a
+  // participant holding a claimed chunk, which keeps the run open.
+  const std::vector<Phase>* phases = nullptr;
+  std::uint32_t first_epoch = 0;
   std::atomic<bool> failed{false};
   std::exception_ptr error;  // written by the first failing chunk only
 
-  // Claims and runs chunks of the round whose word is `word` until none is
-  // left; returns the last word seen.
+  // Claims and runs chunks until the word shows none left to claim (the
+  // open phase is all claimed, or no run is open); returns that word.
   std::uint64_t work(std::uint64_t word, std::size_t rank) {
     while (word != kClosed && next_chunk(word) < chunk_count(word)) {
       if (!claim.compare_exchange_weak(word, word + kNextOne, std::memory_order_acq_rel,
                                        std::memory_order_acquire))
         continue;  // `word` now holds the current value
-      try {
-        (*fn)(next_chunk(word), rank);
-      } catch (...) {
-        if (!failed.exchange(true, std::memory_order_relaxed)) error = std::current_exception();
+      const std::size_t index = epoch_of(word) - first_epoch;
+      // After a failure the chain still runs to its end, but skips its
+      // chunks: a later phase may depend on the failed one.
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          (*(*phases)[index].fn)(next_chunk(word), rank);
+        } catch (...) {
+          if (!failed.exchange(true, std::memory_order_relaxed))
+            error = std::current_exception();
+        }
       }
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunk_count(word))
-        done.notify_one();
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunk_count(word)) {
+        // The phase's last chunk: open the next phase, or end the run with
+        // an empty word the caller is waiting for.
+        done.store(0, std::memory_order_relaxed);
+        const std::size_t chunks = index + 1 < phases->size() ? (*phases)[index + 1].chunks : 0;
+        claim.store(make_word(epoch_of(word) + 1, chunks), std::memory_order_release);
+        claim.notify_all();
+      }
       word = claim.load(std::memory_order_acquire);
     }
     return word;
@@ -138,19 +156,26 @@ Team::~Team() {
   state_->claim.notify_all();
 }
 
-void Team::run(std::size_t chunks, const ChunkFn& fn) {
-  if (chunks == 0) return;
-  MAOPT_CHECK(chunks < kMaxChunks, "Team::run: too many chunks");
+void Team::run(const std::vector<Phase>& phases) {
+  if (phases.empty()) return;
+  for (const Phase& phase : phases)
+    MAOPT_CHECK(phase.chunks >= 1 && phase.chunks < kMaxChunks && phase.fn != nullptr,
+                "Team::run: a phase needs 1 to 65534 chunks and a function");
+  MAOPT_CHECK(phases.size() < (std::uint64_t{1} << 31), "Team::run: too many phases");
   State& s = *state_;
-  s.fn = &fn;
-  s.done.store(0, std::memory_order_relaxed);
-  const std::uint64_t word = (std::uint64_t{++epoch_} << 32) | chunks;
+  // No run is open, so the word is an empty one and no participant reads
+  // the fields written here until the first phase is published.
+  const std::uint32_t first = epoch_of(s.claim.load(std::memory_order_relaxed)) + 1;
+  const std::uint32_t end = first + static_cast<std::uint32_t>(phases.size());
+  s.phases = &phases;
+  s.first_epoch = first;
+  std::uint64_t word = make_word(first, phases.front().chunks);
   s.claim.store(word, std::memory_order_release);
   if (size_ > 1) s.claim.notify_all();
-  s.work(word, 0);
-  for (std::uint32_t d = s.done.load(std::memory_order_acquire); d < chunks;
-       d = s.done.load(std::memory_order_acquire))
-    s.done.wait(d, std::memory_order_acquire);
+  while ((word = s.work(word, 0)) != make_word(end, 0)) {
+    s.claim.wait(word, std::memory_order_acquire);
+    word = s.claim.load(std::memory_order_acquire);
+  }
   if (s.failed.load(std::memory_order_relaxed)) {
     s.failed.store(false, std::memory_order_relaxed);
     std::rethrow_exception(std::exchange(s.error, nullptr));

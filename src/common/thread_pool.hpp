@@ -66,20 +66,27 @@ class ThreadPool {
 };
 
 /// The calling thread plus whichever of a pool's workers join it, running
-/// rounds of fine-grained work (a critic training step; DESIGN §12). Each
-/// run() splits its work into a fixed list of chunks, and participants
-/// claim chunks one at a time until none is left. The caller always
-/// works and waits only for chunks already claimed, never for a worker to
-/// arrive, so a busy or late worker cannot hang a round: at worst the caller
-/// runs every chunk itself. Workers join once per Team (one pool task each)
-/// and sleep on an atomic between rounds; nothing spins.
+/// a chain of phases of fine-grained work (the steps of a critic training
+/// round; DESIGN §12). Each phase is a fixed list of chunks that the
+/// participants claim one at a time; a phase starts once every chunk of the
+/// one before it has finished, and the participant that finishes a phase's
+/// last chunk opens the next one and works on, so no phase change waits for
+/// a sleeping thread to wake. The caller always works and waits only for
+/// chunks already claimed, never for a worker to arrive, so a busy or late
+/// worker cannot hang a run: at worst the caller runs every chunk itself.
+/// Workers join once per Team (one pool task each) and sleep on an atomic
+/// while they have nothing to claim; nothing spins.
 ///
-/// Which participant runs which chunk varies from run to run, so `fn` must
-/// give the same result whoever runs a chunk; `rank` (0 for the caller,
+/// Which participant runs which chunk varies from run to run, so a chunk
+/// must give the same result whoever runs it; `rank` (0 for the caller,
 /// 1..size()-1 for the workers) only indexes per-participant scratch.
 class Team {
  public:
   using ChunkFn = std::function<void(std::size_t chunk, std::size_t rank)>;
+  struct Phase {
+    std::size_t chunks;  ///< >= 1
+    const ChunkFn* fn;
+  };
 
   /// A team of the caller and `pool`'s workers; nullptr makes the caller
   /// a team of one. `pool` must outlive the Team.
@@ -93,16 +100,16 @@ class Team {
   /// Number of ranks: the pool's workers plus the caller.
   std::size_t size() const { return size_; }
 
-  /// Runs fn(chunk, rank) once for every chunk in [0, chunks) and returns
-  /// when all have finished. If chunks throw, every chunk still runs, and
-  /// then one of the exceptions is rethrown.
-  void run(std::size_t chunks, const ChunkFn& fn);
+  /// Runs the phases in order, each phase's fn(chunk, rank) once for every
+  /// chunk in [0, chunks), and returns when the last has finished. If a
+  /// chunk throws, no chunk of a later phase runs (chunks of its own phase
+  /// may), and one of the exceptions is rethrown when the run ends.
+  void run(const std::vector<Phase>& phases);
 
  private:
   struct State;
   std::shared_ptr<State> state_;
   std::size_t size_;
-  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace maopt

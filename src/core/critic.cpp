@@ -42,20 +42,33 @@ void Critic::fit_normalizer(const std::vector<SimRecord>& records) {
 double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool) {
   MAOPT_CHECK(norm_.fitted(), "Critic::train_round: fit_normalizer must run first");
   MAOPT_CHECK(config_.batch_size > 0, "Critic::train_round: batch_size must be >= 1");
+  // Each step is three phases on the team: draw the minibatch (one chunk),
+  // the step's row chunks, then its parameter chunks plus one chunk that
+  // adds the step's loss to the total, in step order.
   Team team(pool);
-  const Team::ChunkFn rows = [this](std::size_t chunk, std::size_t rank) {
-    step_.run_rows(chunk, rank);
-  };
-  const Team::ChunkFn params = [this](std::size_t chunk, std::size_t) { step_.run_params(chunk); };
   double total = 0.0;
-  for (int s = 0; s < config_.steps_per_round; ++s) {
+  const Team::ChunkFn sample = [&](std::size_t, std::size_t) {
     batcher.sample(config_.batch_size, rng, batch_x_, batch_y_raw_);
     norm_.transform_into(batch_y_raw_, batch_y_);
     step_.begin(batch_x_, batch_y_, team.size());
-    team.run(step_.row_chunks(), rows);
-    team.run(step_.param_chunks(), params);
-    total += step_.loss();
+  };
+  const Team::ChunkFn rows = [&](std::size_t chunk, std::size_t rank) {
+    step_.run_rows(chunk, rank);
+  };
+  const Team::ChunkFn params = [&](std::size_t chunk, std::size_t) {
+    if (chunk < step_.param_chunks())
+      step_.run_params(chunk);
+    else
+      total += step_.loss();
+  };
+  std::vector<Team::Phase> phases;
+  phases.reserve(3 * static_cast<std::size_t>(std::max(0, config_.steps_per_round)));
+  for (int s = 0; s < config_.steps_per_round; ++s) {
+    phases.push_back({1, &sample});
+    phases.push_back({nn::MseStep::row_chunks(config_.batch_size), &rows});
+    phases.push_back({step_.param_chunks() + 1, &params});
   }
+  team.run(phases);
   return total / std::max(1, config_.steps_per_round);
 }
 

@@ -181,7 +181,7 @@ void MseStep::begin(const Mat& x, const Mat& target, std::size_t ranks) {
   adam_->begin_step();
 }
 
-std::size_t MseStep::row_chunks() const { return (x_->rows() + kRowBlock - 1) / kRowBlock; }
+std::size_t MseStep::row_chunks(std::size_t rows) { return (rows + kRowBlock - 1) / kRowBlock; }
 
 void MseStep::run_rows(std::size_t chunk, std::size_t rank) {
   const auto& layers = net_->layers_;

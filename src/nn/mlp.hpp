@@ -79,7 +79,8 @@ class MseStep {
   /// borrowed until the parameter phase ends.
   void begin(const Mat& x, const Mat& target, std::size_t ranks);
 
-  std::size_t row_chunks() const;
+  /// Row chunks of a batch of `rows` rows.
+  static std::size_t row_chunks(std::size_t rows);
   void run_rows(std::size_t chunk, std::size_t rank);
 
   std::size_t param_chunks() const { return slices_.size(); }

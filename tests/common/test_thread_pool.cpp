@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -147,6 +148,98 @@ TEST(ThreadPool, TasksRunConcurrently) {
     --running;
   });
   EXPECT_GE(peak.load(), 2);
+}
+
+// --- Team ---
+
+// Runs `phases` phases of `chunks` chunks each; every chunk checks that the
+// previous phase had fully finished when it started, and records its rank.
+void run_counted_phases(Team& team, std::size_t phases, std::size_t chunks,
+                        std::vector<std::atomic<int>>& hits, std::atomic<int>& order_errors,
+                        std::vector<std::atomic<int>>& rank_hits) {
+  std::atomic<std::size_t> finished{0};  // chunks finished over all phases
+  std::vector<Team::ChunkFn> fns;
+  fns.reserve(phases);
+  for (std::size_t p = 0; p < phases; ++p)
+    fns.push_back([&, p](std::size_t chunk, std::size_t rank) {
+      if (finished.load() < p * chunks) ++order_errors;
+      ++hits[p * chunks + chunk];
+      ++rank_hits[rank];
+      ++finished;
+    });
+  std::vector<Team::Phase> list;
+  for (std::size_t p = 0; p < phases; ++p) list.push_back({chunks, &fns[p]});
+  team.run(list);
+}
+
+TEST(Team, RunsEveryChunkOncePhaseAfterPhase) {
+  ThreadPool pool(3);
+  Team team(&pool);
+  EXPECT_EQ(team.size(), 4u);
+  const std::size_t phases = 40, chunks = 7;
+  std::vector<std::atomic<int>> hits(phases * chunks);
+  std::vector<std::atomic<int>> rank_hits(team.size());
+  std::atomic<int> order_errors{0};
+  for (int run = 0; run < 3; ++run)
+    run_counted_phases(team, phases, chunks, hits, order_errors, rank_hits);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 3);
+  EXPECT_EQ(order_errors.load(), 0);
+}
+
+TEST(Team, TeamOfOneRunsEverythingOnTheCaller) {
+  Team team(nullptr);
+  EXPECT_EQ(team.size(), 1u);
+  std::vector<std::atomic<int>> hits(10);
+  std::vector<std::atomic<int>> rank_hits(1);
+  std::atomic<int> order_errors{0};
+  run_counted_phases(team, 2, 5, hits, order_errors, rank_hits);
+  EXPECT_EQ(rank_hits[0].load(), 10);
+  EXPECT_EQ(order_errors.load(), 0);
+}
+
+TEST(Team, RunCompletesWhileEveryWorkerIsBusy) {
+  // The workers never join: the caller runs every chunk, and the helper
+  // tasks that start after the Team is gone find it closed.
+  ThreadPool pool(2);
+  std::latch release(1);
+  auto a = pool.submit([&release] { release.wait(); });
+  auto b = pool.submit([&release] { release.wait(); });
+  std::vector<std::atomic<int>> hits(12);
+  std::vector<std::atomic<int>> rank_hits(3);
+  std::atomic<int> order_errors{0};
+  {
+    Team team(&pool);
+    run_counted_phases(team, 3, 4, hits, order_errors, rank_hits);
+  }
+  release.count_down();
+  a.get();
+  b.get();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(rank_hits[0].load(), 12);
+  EXPECT_EQ(order_errors.load(), 0);
+  pool.parallel_for(4, [](std::size_t) {});  // the pool still works afterwards
+}
+
+TEST(Team, ExceptionSkipsLaterPhasesAndIsRethrown) {
+  ThreadPool pool(3);
+  Team team(&pool);
+  std::atomic<int> later{0};
+  const Team::ChunkFn fail = [](std::size_t chunk, std::size_t) {
+    if (chunk == 2) throw std::runtime_error("chunk 2");
+  };
+  const Team::ChunkFn count = [&later](std::size_t, std::size_t) { ++later; };
+  EXPECT_THROW(team.run({{5, &fail}, {5, &count}, {5, &count}}), std::runtime_error);
+  EXPECT_EQ(later.load(), 0);
+  // The team is usable again after a failed run.
+  team.run({{6, &count}});
+  EXPECT_EQ(later.load(), 6);
+}
+
+TEST(Team, RejectsAnEmptyPhase) {
+  Team team(nullptr);
+  const Team::ChunkFn noop = [](std::size_t, std::size_t) {};
+  EXPECT_THROW(team.run({{0, &noop}}), ContractViolation);
+  EXPECT_THROW(team.run({{3, nullptr}}), ContractViolation);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <optional>
 
 #include "circuits/analytic_problems.hpp"
 
@@ -136,6 +139,110 @@ TEST_F(CriticFixture, PredictOneMatchesBatchPredict) {
   }
   const nn::Mat batch = critic.predict(in);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(single[c], batch(0, c));
+}
+
+// --- The team step: one critic, trained on a team of the caller and a pool ---
+
+// Every parameter of the network, in params() order.
+std::vector<double> flat_params(const nn::Mlp& net) {
+  std::vector<double> out;
+  for (const auto& p : net.params()) out.insert(out.end(), p.value->begin(), p.value->end());
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+struct TeamRun {
+  std::vector<double> params;
+  std::vector<double> losses;
+};
+
+// Three rounds of a fresh critic (same seeds every call), trained with
+// `pool` (nullptr: alone).
+TeamRun train_critic(const CriticConfig& config, const std::vector<SimRecord>& records,
+                     const nn::RangeScaler& scaler, ThreadPool* pool) {
+  Rng rng(21);
+  Critic critic(3, 3, config, rng);
+  critic.fit_normalizer(records);
+  const PseudoSampleBatcher batcher(records, scaler);
+  Rng train_rng(22);
+  TeamRun run;
+  for (int round = 0; round < 3; ++round)
+    run.losses.push_back(critic.train_round(batcher, train_rng, pool));
+  run.params = flat_params(critic.network());
+  return run;
+}
+
+// The serial step as it was before the team step: forward, mse_loss,
+// backward_params and Adam::step on the whole batch, on a copy of the same
+// initial network and the same minibatch stream.
+TeamRun train_reference(const CriticConfig& config, const std::vector<SimRecord>& records,
+                        const nn::RangeScaler& scaler) {
+  Rng rng(21);
+  Critic critic(3, 3, config, rng);
+  nn::Mlp net = critic.network();
+  nn::Adam adam(net.params(), {.lr = config.learning_rate});
+  nn::Mat metrics(records.size(), 3);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    for (std::size_t j = 0; j < 3; ++j) metrics(i, j) = records[i].metrics[j];
+  nn::ZScoreNormalizer norm;
+  norm.fit(metrics);
+  const PseudoSampleBatcher batcher(records, scaler);
+  Rng train_rng(22);
+  TeamRun run;
+  nn::Mat x, y_raw, y, grad;
+  for (int round = 0; round < 3; ++round) {
+    double total = 0.0;
+    for (int s = 0; s < config.steps_per_round; ++s) {
+      batcher.sample(config.batch_size, train_rng, x, y_raw);
+      norm.transform_into(y_raw, y);
+      total += nn::mse_loss(net.forward(x), y, &grad);
+      net.backward_params(grad);
+      adam.step();
+    }
+    run.losses.push_back(total / config.steps_per_round);
+  }
+  run.params = flat_params(net);
+  return run;
+}
+
+TEST_F(CriticFixture, TeamStepIsBitIdenticalForEveryPoolSize) {
+  config.steps_per_round = 8;
+  for (const std::size_t batch : {64, 30, 3, 1}) {
+    config.batch_size = batch;
+    const TeamRun reference = train_reference(config, records, scaler);
+    const TeamRun alone = train_critic(config, records, scaler, nullptr);
+    ASSERT_TRUE(same_bits(alone.params, reference.params)) << "batch " << batch;
+    for (std::size_t r = 0; r < reference.losses.size(); ++r)
+      ASSERT_TRUE(same_bits(alone.losses[r], reference.losses[r])) << "batch " << batch;
+    for (const std::size_t workers : {1, 2, 3, 4, 7}) {
+      ThreadPool pool(workers);
+      const TeamRun team = train_critic(config, records, scaler, &pool);
+      EXPECT_TRUE(same_bits(team.params, reference.params))
+          << "batch " << batch << ", " << workers << " workers";
+      for (std::size_t r = 0; r < reference.losses.size(); ++r)
+        EXPECT_TRUE(same_bits(team.losses[r], reference.losses[r]))
+            << "batch " << batch << ", " << workers << " workers, round " << r;
+    }
+  }
+}
+
+TEST_F(CriticFixture, TeamRoundCompletesWhileAWorkerIsHeldBusy) {
+  config.steps_per_round = 8;
+  const TeamRun alone = train_critic(config, records, scaler, nullptr);
+  ThreadPool pool(3);
+  std::latch release(1);
+  auto busy = pool.submit([&release] { release.wait(); });
+  const TeamRun team = train_critic(config, records, scaler, &pool);
+  release.count_down();
+  busy.get();
+  EXPECT_TRUE(same_bits(team.params, alone.params));
+  for (std::size_t r = 0; r < alone.losses.size(); ++r)
+    EXPECT_TRUE(same_bits(team.losses[r], alone.losses[r]));
 }
 
 }  // namespace

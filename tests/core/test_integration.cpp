@@ -61,5 +61,35 @@ TEST(Integration, DnnOptOnTiaRunsDeterministically) {
   }
 }
 
+// The critic trains on a team of the run's pool and the actor lanes run on
+// the same pool, so the thread count must not move a single bit of the
+// trajectory: every design, metric and FoM (near-sampling iterations
+// included) is compared exactly.
+TEST(Integration, MaOptOnTwoStageOtaIsIdenticalForEveryThreadCount) {
+  ckt::TwoStageOta problem;
+  Rng rng(3);
+  const auto init = sample_initial_set(problem, 15, rng);
+  std::vector<linalg::Vec> rows;
+  for (const auto& r : init) rows.push_back(r.metrics);
+  const auto fom = ckt::FomEvaluator::fit_reference(problem, rows);
+
+  std::vector<RunHistory> runs;
+  for (const std::size_t threads : {1, 3, 5}) {
+    MaOptConfig config = small_config(MaOptConfig::ma_opt());
+    config.num_threads = threads;
+    MaOptimizer opt(config);
+    runs.push_back(opt.run(problem, init, fom, {.seed = 4, .simulation_budget = 15}));
+  }
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    ASSERT_EQ(runs[k].records.size(), runs[0].records.size());
+    for (std::size_t i = 0; i < runs[0].records.size(); ++i) {
+      EXPECT_EQ(runs[k].records[i].x, runs[0].records[i].x) << "run " << k << ", record " << i;
+      EXPECT_EQ(runs[k].records[i].metrics, runs[0].records[i].metrics) << "record " << i;
+      EXPECT_EQ(runs[k].records[i].fom, runs[0].records[i].fom) << "record " << i;
+    }
+    EXPECT_EQ(runs[k].best_fom_after, runs[0].best_fom_after) << "run " << k;
+  }
+}
+
 }  // namespace
 }  // namespace maopt::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/adam.hpp"
 
@@ -167,6 +168,45 @@ TEST(MseLoss, KnownValueAndGradient) {
 TEST(MseLoss, ShapeMismatchThrows) {
   Mat pred(1, 2), target(2, 1);
   EXPECT_THROW(mse_loss(pred, target, nullptr), std::invalid_argument);
+}
+
+// MseStep's chunks, run in reverse order and on assorted ranks, give the
+// bits of forward + mse_loss + backward_params + Adam::step: the same
+// network stepped both ways, tanh output included, several steps, an odd
+// batch and layers wide enough to split into several parameter chunks.
+TEST(MseStep, ChunksInAnyOrderMatchTheWholeBatchStep) {
+  Rng rng(5);
+  Mlp serial(7, {40, 60}, 3, rng, Activation::Tanh, /*output_tanh=*/true);
+  Mlp split = serial;
+  Adam serial_adam(serial.params(), {.lr = 1e-2});
+  Adam split_adam(split.params(), {.lr = 1e-2});
+  MseStep step(split, split_adam);
+  ASSERT_GT(step.param_chunks(), 3u);
+  for (int s = 0; s < 4; ++s) {
+    Mat x(37, 7), y(37, 3);
+    for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : y.data()) v = rng.uniform(-1.0, 1.0);
+    Mat grad;
+    const double serial_loss = mse_loss(serial.forward(x), y, &grad);
+    serial.backward_params(grad);
+    serial_adam.step();
+
+    step.begin(x, y, 3);
+    const std::size_t rows = MseStep::row_chunks(x.rows());
+    for (std::size_t c = rows; c > 0; --c) step.run_rows(c - 1, c % 3);
+    for (std::size_t c = step.param_chunks(); c > 0; --c) step.run_params(c - 1);
+    const double split_loss = step.loss();
+    EXPECT_EQ(std::memcmp(&serial_loss, &split_loss, sizeof(double)), 0) << "step " << s;
+    const auto a = serial.params();
+    const auto b = split.params();
+    for (std::size_t p = 0; p < a.size(); ++p) {
+      ASSERT_EQ(std::memcmp(a[p].value->data(), b[p].value->data(),
+                            a[p].value->size() * sizeof(double)),
+                0)
+          << "step " << s << ", param " << p;
+      for (const double g : *b[p].grad) ASSERT_EQ(g, 0.0);
+    }
+  }
 }
 
 }  // namespace
