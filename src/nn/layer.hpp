@@ -82,6 +82,14 @@ class Layer {
   /// Doubles of scratch input_gradient_rows() needs.
   virtual std::size_t pack_size() const { return 0; }
 
+  /// This layer's forward-output and input-gradient workspace slots, shaped
+  /// for `rows` rows with unspecified contents: the buffers forward() and
+  /// the backward family use, which a team step's row chunks fill instead.
+  Mat& output_slot(std::size_t rows) { return ws_.acquire(kFwdSlot, rows, output_size()); }
+  Mat& input_gradient_slot(std::size_t rows) {
+    return ws_.acquire(kBwdSlot, rows, input_size());
+  }
+
   /// Parameter (value, grad) pairs; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }
 

@@ -145,6 +145,7 @@ MseStep::MseStep(Mlp& net, Adam& adam) : net_(&net), adam_(&adam) {
   const auto& layers = net.layers_;
   act_.resize(layers.size());
   grad_.resize(layers.size());
+  grad_.back() = &loss_grad_;
   std::size_t param = 0;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     if (auto* linear = dynamic_cast<Linear*>(layers[l].get())) {
@@ -171,9 +172,10 @@ void MseStep::begin(const Mat& x, const Mat& target, std::size_t ranks) {
   x_ = &x;
   target_ = &target;
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    act_[l].ensure_shape(x.rows(), layers[l]->output_size());
-    grad_[l].ensure_shape(x.rows(), layers[l]->output_size());
+    act_[l] = &layers[l]->output_slot(x.rows());
+    if (l > 0) grad_[l - 1] = &layers[l]->input_gradient_slot(x.rows());
   }
+  loss_grad_.ensure_shape(x.rows(), net_->output_size());
   std::size_t pack = 0;
   for (const auto& layer : layers) pack = std::max(pack, layer->pack_size());
   if (pack_.size() < ranks) pack_.resize(ranks);
@@ -189,25 +191,26 @@ void MseStep::run_rows(std::size_t chunk, std::size_t rank) {
   const std::size_t r1 = std::min(x_->rows(), r0 + kRowBlock);
   const Mat* h = x_;
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    layers[l]->forward_rows(*h, act_[l], r0, r1);
-    h = &act_[l];
+    layers[l]->forward_rows(*h, *act_[l], r0, r1);
+    h = act_[l];
   }
-  mse_gradient_rows(act_.back(), *target_, grad_.back(), r0, r1);
+  mse_gradient_rows(*act_.back(), *target_, loss_grad_, r0, r1);
   // Down to the bottom layer's output gradient; its input gradient is
   // never read (as in Mlp::backward_params).
   for (std::size_t l = layers.size() - 1; l > 0; --l)
-    layers[l]->input_gradient_rows(act_[l], grad_[l], grad_[l - 1], r0, r1, pack_[rank].data());
+    layers[l]->input_gradient_rows(*act_[l], *grad_[l], *grad_[l - 1], r0, r1,
+                                   pack_[rank].data());
 }
 
 void MseStep::run_params(std::size_t chunk) {
   const Slice& s = slices_[chunk];
-  const Mat& input = s.layer == 0 ? *x_ : act_[s.layer - 1];
-  s.linear->param_gradient_slice(input, grad_[s.layer], s.i0, s.i1, s.j0, s.j1);
+  const Mat& input = s.layer == 0 ? *x_ : *act_[s.layer - 1];
+  s.linear->param_gradient_slice(input, *grad_[s.layer], s.i0, s.i1, s.j0, s.j1);
   const std::size_t out = s.linear->output_size();
   adam_->update(s.param, s.i0 * out, s.i1 * out);
   adam_->update(s.param + 1, s.j0, s.j1);
 }
 
-double MseStep::loss() const { return mse_value(act_.back(), *target_); }
+double MseStep::loss() const { return mse_value(*act_.back(), *target_); }
 
 }  // namespace maopt::nn

@@ -73,6 +73,8 @@ class MseStep {
   /// `adam` must update exactly net.params(), in that order. Both must
   /// outlive the step.
   MseStep(Mlp& net, Adam& adam);
+  MseStep(const MseStep&) = delete;
+  MseStep& operator=(const MseStep&) = delete;
 
   /// Shapes the step's buffers for batch x (input) and target, with pack
   /// scratch for `ranks` ranks, and starts the Adam step. x and target are
@@ -103,8 +105,10 @@ class MseStep {
   std::vector<Slice> slices_;
   const Mat* x_ = nullptr;
   const Mat* target_ = nullptr;
-  std::vector<Mat> act_;   // act_[l]: output of layer l
-  std::vector<Mat> grad_;  // grad_[l]: dL/d(output of layer l)
+  // act_[l]: output of layer l; grad_[l]: dL/d(output of layer l). Both are
+  // the layers' own workspace slots, except the loss gradient.
+  std::vector<Mat*> act_, grad_;
+  Mat loss_grad_;
   std::vector<Vec> pack_;  // per-rank gemm_nt scratch
 };
 
