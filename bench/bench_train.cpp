@@ -43,6 +43,23 @@ std::vector<core::SimRecord> make_population(ckt::SizingProblem& problem, std::s
   return records;
 }
 
+/// Spreads a fresh pool's workers over the CPUs before a timed row. New
+/// workers start on the creating thread's CPU and the scheduler moves them
+/// only once they compete for it, so a team step timed right after pool
+/// creation runs most chunks on one CPU and reads slow. One CPU-bound
+/// parallel_for, the way MA-Opt's actor lanes occupy the pool before every
+/// critic round, puts them where a run has them.
+void spread_workers(ThreadPool& pool) {
+  pool.parallel_for(pool.size(), [](std::size_t lane) {
+    const auto until = Clock::now() + std::chrono::milliseconds(200);
+    double acc = static_cast<double>(lane);
+    while (Clock::now() < until)
+      for (int k = 0; k < 4096; ++k) acc = acc * 0.999999 + 1e-9 * k;
+    const volatile double sink = acc;  // keeps the loop
+    (void)sink;
+  });
+}
+
 double gflops(std::size_t n, int reps, double seconds) {
   return 2.0 * static_cast<double>(n) * static_cast<double>(n) * static_cast<double>(n) * reps /
          seconds / 1e9;
@@ -132,6 +149,7 @@ int main(int argc, char** argv) {
       core::Critic critic(dim, num_metrics, cfg, crng);
       critic.fit_normalizer(records);
       ThreadPool pool(3);
+      spread_workers(pool);
       checksum_sink += critic.train_round(batcher, trng, &pool);
       const auto t0 = Clock::now();
       for (int r = 0; r < reps; ++r) checksum_sink += critic.train_round(batcher, trng, &pool);

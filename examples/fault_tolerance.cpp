@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   std::printf("resuming from checkpoint at %zu/%zu simulations...\n",
               snapshot.history.simulations_used(), sims);
   core::MaOptimizer resumed_opt(cfg);
-  const core::RunHistory resumed = resumed_opt.resume(resilient, snapshot, fom, sims);
+  const core::RunHistory resumed =
+      resumed_opt.resume(resilient, snapshot, fom, {.simulation_budget = sims});
   const bool identical = resumed.records.size() == h.records.size() &&
                          resumed.best_fom_after.back() == h.best_fom_after.back();
   std::printf("resumed:  best FoM %.5g — trajectories %s\n", resumed.best_fom_after.back(),

@@ -275,22 +275,7 @@ std::vector<std::string> FoldedCascodeOta::parameter_names() const {
   return {"L1", "L2", "L3", "L4", "L5", "W1", "W2", "W3", "W4", "W5", "C", "N1", "N2", "N3"};
 }
 
-EvalResult FoldedCascodeOta::evaluate(const Vec& x) const {
-  // Fresh session per call: thread-safe, identical to a persistent session.
-  return FcSession(*this, variation_).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> FoldedCascodeOta::make_session() const {
-  return std::make_unique<FcSession>(*this, variation_);
-}
-
-EvalResult FoldedCascodeOta::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  return FcSession(*this, pv).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> FoldedCascodeOta::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
+std::unique_ptr<EvalSession> FoldedCascodeOta::open_session(const ProcessVariation& pv) const {
   return std::make_unique<FcSession>(*this, pv);
 }
 

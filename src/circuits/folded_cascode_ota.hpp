@@ -23,7 +23,7 @@
 
 namespace maopt::ckt {
 
-class FoldedCascodeOta final : public SizingProblem {
+class FoldedCascodeOta final : public SessionProblem {
  public:
   FoldedCascodeOta();
 
@@ -34,18 +34,8 @@ class FoldedCascodeOta final : public SizingProblem {
   const std::vector<bool>& integer_mask() const override { return integer_; }
   std::vector<std::string> parameter_names() const override;
 
-  EvalResult evaluate(const Vec& x) const override;
-
-  /// Persistent-testbench session (see EvalSession).
-  std::unique_ptr<EvalSession> make_session() const override;
-
-  /// Monte Carlo mismatch support (see process_variation.hpp).
-  void set_process_variation(const ProcessVariation& pv) override { variation_ = pv; }
+  /// Monte Carlo mismatch and corner support (see process_variation.hpp).
   bool supports_process_variation() const override { return true; }
-
-  /// Thread-safe variation-pinned evaluation (see TwoStageOta::evaluate_at).
-  EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const override;
-  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const override;
 
   enum Metric {
     kPowerMw = 0,
@@ -57,11 +47,15 @@ class FoldedCascodeOta final : public SizingProblem {
     kNoiseMvrms,
   };
 
+ protected:
+  /// Persistent-testbench session: amortizes netlist construction and solver
+  /// workspaces across same-topology designs (see EvalSession).
+  std::unique_ptr<EvalSession> open_session(const ProcessVariation& pv) const override;
+
  private:
   ProblemSpec spec_;
   Vec lower_, upper_;
   std::vector<bool> integer_;
-  ProcessVariation variation_;
 };
 
 }  // namespace maopt::ckt

@@ -60,11 +60,6 @@ ResilientEvaluator::ResilientEvaluator(const SizingProblem& inner, ResilientConf
               "ResilientEvaluator: max_metric_magnitude must be > 0");
 }
 
-EvalResult ResilientEvaluator::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  const std::unique_ptr<EvalSession> session = inner_->make_session_at(pv);
-  return evaluate_with(x, *session, Deadline{});
-}
-
 EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession& session,
                                              const Deadline& outer) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
@@ -142,11 +137,7 @@ class ResilientEvaluator::Session final : public EvalSession {
   std::unique_ptr<EvalSession> inner_;
 };
 
-std::unique_ptr<EvalSession> ResilientEvaluator::make_session() const {
-  return std::make_unique<Session>(*this, inner_->make_session());
-}
-
-std::unique_ptr<EvalSession> ResilientEvaluator::make_session_at(const ProcessVariation& pv) const {
+std::unique_ptr<EvalSession> ResilientEvaluator::open_session(const ProcessVariation& pv) const {
   return std::make_unique<Session>(*this, inner_->make_session_at(pv));
 }
 
@@ -244,12 +235,7 @@ class FaultInjectingProblem::Session final : public EvalSession {
   ProcessVariation pv_;
 };
 
-EvalResult FaultInjectingProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  return Session(*this, inner_->make_session_at(pv), pv).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> FaultInjectingProblem::make_session_at(
-    const ProcessVariation& pv) const {
+std::unique_ptr<EvalSession> FaultInjectingProblem::open_session(const ProcessVariation& pv) const {
   return std::make_unique<Session>(*this, inner_->make_session_at(pv), pv);
 }
 

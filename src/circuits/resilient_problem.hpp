@@ -70,7 +70,7 @@ struct FailureStats {
 /// Decorator: makes any SizingProblem safe to call from an optimizer.
 /// Thread-safe whenever the inner problem's make_session_at() is. `inner` is
 /// not owned and must outlive this object.
-class ResilientEvaluator final : public SizingProblem {
+class ResilientEvaluator final : public SessionProblem {
  public:
   explicit ResilientEvaluator(const SizingProblem& inner, ResilientConfig config = {});
 
@@ -82,28 +82,22 @@ class ResilientEvaluator final : public SizingProblem {
   std::vector<std::string> parameter_names() const override { return inner_->parameter_names(); }
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
 
-  /// Never throws from the inner solver and never returns non-finite
-  /// metrics: every failure mode yields {failure_metrics(), ok=false}. The
-  /// result's `call` records the retries consumed and, when every attempt
-  /// failed, the kind of the last failure.
-  EvalResult evaluate(const Vec& x) const override { return evaluate_at(x, ProcessVariation{}); }
-
-  /// Variation-pinned evaluation with the full deadline/retry/scrub pipeline,
-  /// every attempt on one session made for the call by the inner
-  /// make_session_at(pv). Thread-safe like evaluate().
-  EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const override;
-  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const override;
   bool supports_process_variation() const override {
     return inner_->supports_process_variation();
   }
   std::uint64_t content_fingerprint() const override { return inner_->content_fingerprint(); }
 
-  /// Persistent session: wraps the inner problem's session in the same
-  /// deadline/retry/scrub logic. A deadline set on this session also bounds
-  /// every attempt (the earlier of the two wins).
-  std::unique_ptr<EvalSession> make_session() const override;
-
   FailureStats stats() const;
+
+ protected:
+  /// evaluate() and evaluate_at() never throw from the inner solver and
+  /// never return non-finite metrics: every failure mode yields
+  /// {failure_metrics(), ok=false}. The result's `call` records the retries
+  /// consumed and, when every attempt failed, the kind of the last failure.
+  /// A session wraps one inner make_session_at(pv) session, and every
+  /// attempt runs on it; a deadline set on the session also bounds every
+  /// attempt (the earlier of the two wins).
+  std::unique_ptr<EvalSession> open_session(const ProcessVariation& pv) const override;
 
  private:
   class Session;
@@ -139,7 +133,7 @@ struct FaultInjectionConfig {
 /// configurable rates. The fault drawn for a design depends only on
 /// (seed, x), never on call order, so injection is thread-safe and
 /// replay-deterministic. `inner` is not owned and must outlive this object.
-class FaultInjectingProblem final : public SizingProblem {
+class FaultInjectingProblem final : public SessionProblem {
  public:
   explicit FaultInjectingProblem(const SizingProblem& inner, FaultInjectionConfig config);
 
@@ -151,19 +145,6 @@ class FaultInjectingProblem final : public SizingProblem {
   std::vector<std::string> parameter_names() const override { return inner_->parameter_names(); }
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
 
-  EvalResult evaluate(const Vec& x) const override { return evaluate_at(x, ProcessVariation{}); }
-
-  /// Variation-pinned injection: the fault decision is a pure function of
-  /// (seed, x) at nominal — identical to evaluate() — and of (seed, x, pv)
-  /// under an enabled variation, so each corner / Monte Carlo instance draws
-  /// its own deterministic fault. Replay- and thread-deterministic either way.
-  EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const override;
-  /// Sessions wrap the inner problem's session and inject the same faults;
-  /// a hang ends at the session deadline if that comes first.
-  std::unique_ptr<EvalSession> make_session() const override {
-    return make_session_at(ProcessVariation{});  // nominal, like evaluate()
-  }
-  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const override;
   bool supports_process_variation() const override {
     return inner_->supports_process_variation();
   }
@@ -171,6 +152,15 @@ class FaultInjectingProblem final : public SizingProblem {
 
   /// Faults injected so far (throws + hangs + NaN + garbage).
   std::uint64_t injected() const { return injected_.load(); }
+
+ protected:
+  /// Sessions wrap an inner make_session_at(pv) session and inject faults;
+  /// a hang ends at the session deadline if that comes first. The fault
+  /// decision is a pure function of (seed, x) at nominal and of (seed, x,
+  /// pv) under an enabled variation, so each corner / Monte Carlo instance
+  /// draws its own deterministic fault. Replay- and thread-deterministic
+  /// either way.
+  std::unique_ptr<EvalSession> open_session(const ProcessVariation& pv) const override;
 
  private:
   class Session;

@@ -56,23 +56,48 @@ void validate_process_variation(const ProcessVariation& pv) {
               "ProcessVariation: pmos_kp_factor must be finite and > 0");
 }
 
+void SizingProblem::check_variation(const ProcessVariation& pv) const {
+  validate_process_variation(pv);
+  MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
+              "enabled process variation on a problem without variation support");
+}
+
+void SizingProblem::set_process_variation(const ProcessVariation& pv) {
+  MAOPT_CHECK(!pv.enabled(),
+              "set_process_variation: problems hold no variation state; pass the variation "
+              "to evaluate_at or make_session_at");
+}
+
 std::unique_ptr<EvalSession> SizingProblem::make_session() const {
   return std::make_unique<ForwardingSession>(*this);
 }
 
 EvalResult SizingProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
-              "evaluate_at: enabled variation on a problem without variation support");
+  check_variation(pv);
   return evaluate(x);
 }
 
 std::unique_ptr<EvalSession> SizingProblem::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
-              "make_session_at: enabled variation on a problem without variation support");
+  check_variation(pv);
   if (!pv.enabled()) return make_session();
   return std::make_unique<VariedForwardingSession>(*this, pv);
+}
+
+EvalResult SessionProblem::evaluate(const Vec& x) const {
+  return open_session(ProcessVariation{})->evaluate(x);
+}
+
+EvalResult SessionProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
+  return make_session_at(pv)->evaluate(x);
+}
+
+std::unique_ptr<EvalSession> SessionProblem::make_session() const {
+  return open_session(ProcessVariation{});
+}
+
+std::unique_ptr<EvalSession> SessionProblem::make_session_at(const ProcessVariation& pv) const {
+  check_variation(pv);
+  return open_session(pv);
 }
 
 double normalized_violation(const ConstraintSpec& c, double value) {

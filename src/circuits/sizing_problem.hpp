@@ -111,12 +111,11 @@ struct EvalResult {
 /// this with persistent testbench netlists and solver workspaces, so that
 /// evaluating many same-topology designs amortizes everything that is
 /// design-independent (netlist construction, matrix/LU storage). Results
-/// must be identical to the owning problem's evaluate() for the same design
-/// and process-variation settings.
+/// must be identical to the owning problem's evaluate_at() for the same
+/// design and the variation the session was made for (make_session_at;
+/// make_session() is the nominal one).
 ///
-/// A session is NOT thread-safe — one session per worker thread. It
-/// snapshots the problem's process-variation settings at creation; create a
-/// fresh session after set_process_variation().
+/// A session is NOT thread-safe — one session per worker thread.
 ///
 /// Deadline contract: set_deadline() applies to later evaluate() calls. The
 /// circuit and deck sessions hand it to the simulator, which stops at the
@@ -148,29 +147,26 @@ class SizingProblem {
   virtual std::vector<std::string> parameter_names() const = 0;
 
   /// Simulates design x (assumed already within bounds; callers should pass
-  /// through clip()). Must be thread-safe: implementations build a fresh
-  /// netlist per call.
+  /// through clip()) at the nominal process. Must be thread-safe:
+  /// implementations build a fresh netlist per call.
   virtual EvalResult evaluate(const Vec& x) const = 0;
 
-  /// Simulates design x under the given variation setting WITHOUT touching
-  /// the problem's ambient variation state — the thread-safe primitive corner
-  /// sweeps and Monte Carlo yield estimation are built on (the legacy
-  /// set_process_variation() + evaluate() sequence mutates shared state and
-  /// cannot run concurrently). Must be thread-safe whenever evaluate() is.
-  /// The default contract-checks pv and forwards to evaluate(): correct for
-  /// variation-free problems at nominal, a ContractViolation when an enabled
-  /// pv reaches a problem without variation support. Variation-capable
-  /// circuits and decorators override.
+  /// Simulates design x under the variation `pv` — the thread-safe primitive
+  /// corner sweeps and Monte Carlo yield estimation are built on. A problem
+  /// holds no variation state: the variation is always an argument. The
+  /// default runs check_variation(pv) and forwards to evaluate(): correct
+  /// for variation-free problems at nominal, a ContractViolation when an
+  /// enabled pv reaches a problem without variation support.
   virtual EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const;
 
   /// Session pinned to one variation setting (the per-worker analog of
-  /// evaluate_at). Default: contract-checks pv like evaluate_at and returns a
-  /// session forwarding every call to evaluate_at(x, pv).
+  /// evaluate_at). Default: check_variation(pv), then make_session() at
+  /// nominal, else a session forwarding every call to evaluate_at(x, pv).
   virtual std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const;
 
-  /// Creates a reusable evaluation session (see EvalSession). The default
-  /// forwards every call to evaluate() — correct for analytic problems and
-  /// for wrappers that add no per-call state of their own.
+  /// Creates a reusable nominal evaluation session (see EvalSession). The
+  /// default forwards every call to evaluate() — correct for analytic
+  /// problems and for wrappers that add no per-call state of their own.
   virtual std::unique_ptr<EvalSession> make_session() const;
 
   /// Metrics reported when the simulator fails to converge: a maximally
@@ -179,10 +175,21 @@ class SizingProblem {
 
   std::size_t num_metrics() const { return 1 + spec().constraints.size(); }
 
-  /// Process-variation hooks: circuits that support Monte Carlo mismatch
-  /// override these; analytic problems ignore them.
-  virtual void set_process_variation(const ProcessVariation& pv) { (void)pv; }
+  /// True when evaluate_at / make_session_at accept an enabled variation
+  /// (the circuits' Monte Carlo mismatch and corner support).
   virtual bool supports_process_variation() const { return false; }
+
+  /// Contract-checks `pv` for this problem: validate_process_variation(pv),
+  /// and an enabled pv requires supports_process_variation(). Throws
+  /// ContractViolation.
+  void check_variation(const ProcessVariation& pv) const;
+
+  /// Problems hold no variation state; pass the variation to evaluate_at /
+  /// make_session_at. A nominal pv is a no-op, an enabled one a
+  /// ContractViolation. Still declared only because the benchmark's
+  /// TimedProblem (perfbench/cpp/timed_problem.hpp) overrides it; it goes
+  /// when that override does.
+  virtual void set_process_variation(const ProcessVariation& pv);
 
   /// Content fingerprint for data-defined problems: a stable hash of the
   /// problem's *semantic payload* beyond what spec()/bounds expose (e.g. the
@@ -202,6 +209,26 @@ class SizingProblem {
 
   /// True when all constraints in `metrics` are satisfied.
   bool feasible(const Vec& metrics) const;
+};
+
+/// A problem defined by one primitive, its variation-pinned session factory
+/// open_session(pv). Everything else derives from it: make_session_at runs
+/// check_variation(pv) and opens a session, make_session() is the nominal
+/// session, and evaluate / evaluate_at run one call on a fresh session — so
+/// a point call and a persistent session share one code path and agree bit
+/// for bit. The simulator-backed problems (the circuits, deck::DeckProblem)
+/// and the decorators that wrap an inner session derive from this.
+class SessionProblem : public SizingProblem {
+ public:
+  EvalResult evaluate(const Vec& x) const final;
+  EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const final;
+  std::unique_ptr<EvalSession> make_session() const final;
+  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const final;
+
+ protected:
+  /// A new session simulating under `pv`, which check_variation has
+  /// accepted. Must be thread-safe (concurrent calls each get their own).
+  virtual std::unique_ptr<EvalSession> open_session(const ProcessVariation& pv) const = 0;
 };
 
 /// Signed normalized violation of constraint `k` (0 when satisfied):

@@ -82,13 +82,7 @@ VariationSweepProblem::VariationSweepProblem(const SizingProblem& inner,
       policy_(policy),
       kind_(std::move(kind)) {
   MAOPT_CHECK(!variants_.empty(), "VariationSweepProblem: empty variant list");
-  bool any_enabled = false;
-  for (const SweepVariant& v : variants_) {
-    validate_process_variation(v.pv);
-    any_enabled = any_enabled || v.pv.enabled();
-  }
-  MAOPT_CHECK(!any_enabled || inner.supports_process_variation(),
-              "VariationSweepProblem: inner problem has no process-variation support");
+  for (const SweepVariant& v : variants_) inner.check_variation(v.pv);
   MAOPT_CHECK(std::isfinite(policy_.k_sigma) && policy_.k_sigma >= 0.0,
               "VariationSweepProblem: k_sigma must be finite and >= 0");
   MAOPT_CHECK(policy_.yield_target > 0.0 && policy_.yield_target <= 1.0,

@@ -4,9 +4,8 @@
 // simulates the design under a fixed list of process-variation variants
 // (corners, or seeded Monte Carlo mismatch instances) and aggregates the
 // per-variant metrics into one EvalResult an unmodified optimizer can
-// consume. It replaces the old serial, const-unsafe sweep (mutate the inner
-// problem's variation state, evaluate, reset) with the thread-safe
-// evaluate_at(x, pv) primitive, and adds the three things population-scale
+// consume. Every variant runs through the thread-safe evaluate_at(x, pv)
+// primitive, and the engine adds the three things population-scale
 // robustness workloads need:
 //
 //   * Batched execution. When the wrapped problem implements SweepBackend

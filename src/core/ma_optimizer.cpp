@@ -78,13 +78,6 @@ RunHistory MaOptimizer::resume(const SizingProblem& problem, const RunCheckpoint
   return history;
 }
 
-RunHistory MaOptimizer::resume(const SizingProblem& problem, const RunCheckpoint& checkpoint,
-                               const FomEvaluator& fom, std::size_t simulation_budget) {
-  RunOptions options;
-  options.simulation_budget = simulation_budget;
-  return resume(problem, checkpoint, fom, options);
-}
-
 RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRecord> initial,
                                  std::vector<SimRecord> replay, const FomEvaluator& fom,
                                  std::uint64_t seed, std::size_t simulation_budget,

@@ -69,8 +69,6 @@ class MaOptimizer final : public Optimizer {
   /// Emits the same telemetry bracketing as run().
   RunHistory resume(const SizingProblem& problem, const RunCheckpoint& checkpoint,
                     const FomEvaluator& fom, const RunOptions& options);
-  RunHistory resume(const SizingProblem& problem, const RunCheckpoint& checkpoint,
-                    const FomEvaluator& fom, std::size_t simulation_budget);
 
  protected:
   RunHistory do_run(const SizingProblem& problem, const std::vector<SimRecord>& initial,

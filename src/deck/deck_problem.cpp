@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "circuits/process_variation.hpp"
-#include "common/check.hpp"
 #include "common/hash.hpp"
 #include "spice/ac_analysis.hpp"
 #include "spice/dc_analysis.hpp"
@@ -569,27 +568,7 @@ std::vector<std::string> DeckProblem::parameter_names() const {
   return names;
 }
 
-EvalResult DeckProblem::evaluate(const Vec& x) const {
-  // Fresh session per call: thread-safe by construction, identical results
-  // to a persistent session (which only amortizes construction).
-  return DeckSession(*this, variation_).evaluate(x);
-}
-
-EvalResult DeckProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  ckt::validate_process_variation(pv);
-  MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
-              "evaluate_at: enabled variation on a deck without MOSFET devices");
-  return DeckSession(*this, pv).evaluate(x);
-}
-
-std::unique_ptr<ckt::EvalSession> DeckProblem::make_session() const {
-  return std::make_unique<DeckSession>(*this, variation_);
-}
-
-std::unique_ptr<ckt::EvalSession> DeckProblem::make_session_at(const ProcessVariation& pv) const {
-  ckt::validate_process_variation(pv);
-  MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
-              "make_session_at: enabled variation on a deck without MOSFET devices");
+std::unique_ptr<ckt::EvalSession> DeckProblem::open_session(const ProcessVariation& pv) const {
   return std::make_unique<DeckSession>(*this, pv);
 }
 

@@ -49,7 +49,7 @@ using ckt::Vec;
 /// (unknown model, bad model parameter).
 void build_nominal_netlist(const ElaboratedDeck& deck, spice::Netlist& out);
 
-class DeckProblem final : public ckt::SizingProblem {
+class DeckProblem final : public ckt::SessionProblem {
  public:
   /// Compiles deck + spec files. `spec_path` defaults to the deck path with
   /// a ".spec" extension. Throws spice::ParseError on syntax errors and
@@ -67,12 +67,7 @@ class DeckProblem final : public ckt::SizingProblem {
   const std::vector<bool>& integer_mask() const override { return integer_; }
   std::vector<std::string> parameter_names() const override;
 
-  ckt::EvalResult evaluate(const Vec& x) const override;
-  ckt::EvalResult evaluate_at(const Vec& x, const ckt::ProcessVariation& pv) const override;
-  std::unique_ptr<ckt::EvalSession> make_session() const override;
-  std::unique_ptr<ckt::EvalSession> make_session_at(const ckt::ProcessVariation& pv) const override;
-
-  void set_process_variation(const ckt::ProcessVariation& pv) override { variation_ = pv; }
+  /// Variation moves MOSFET model cards, so a deck without MOSFETs has none.
   bool supports_process_variation() const override { return has_mosfets_; }
 
   std::uint64_t content_fingerprint() const override { return fingerprint_; }
@@ -80,6 +75,9 @@ class DeckProblem final : public ckt::SizingProblem {
   // Deck accessors -----------------------------------------------------------
   const ElaboratedDeck& deck() const { return deck_; }
   const DeckSpec& deck_spec() const { return deck_spec_; }
+
+ protected:
+  std::unique_ptr<ckt::EvalSession> open_session(const ckt::ProcessVariation& pv) const override;
 
  private:
   friend class DeckSession;
@@ -91,7 +89,6 @@ class DeckProblem final : public ckt::SizingProblem {
   ckt::ProblemSpec spec_;
   Vec lower_, upper_;
   std::vector<bool> integer_;
-  ckt::ProcessVariation variation_;
   bool has_mosfets_ = false;
   std::uint64_t fingerprint_ = 0;
 };

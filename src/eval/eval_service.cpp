@@ -130,7 +130,7 @@ ckt::EvalResult EvalService::evaluate(const Vec& x) const {
 }
 
 ckt::EvalResult EvalService::evaluate_at(const Vec& x, const ckt::ProcessVariation& pv) const {
-  ckt::validate_process_variation(pv);
+  check_variation(pv);
   const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, 1);
   return evaluate_impl(x, pv, cache_for(t_tenant));
 }
@@ -228,8 +228,8 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   // designs reuse one prepared testbench and its solver workspaces instead
   // of rebuilding everything per design.
   simulations_.fetch_add(1, std::memory_order_relaxed);
-  // Pooled sessions are pinned to the nominal variation; varied evaluations
-  // go through the thread-safe variation-pinned primitive instead.
+  // Pooled sessions are nominal (the inner make_session()); varied
+  // evaluations go through the thread-safe variation-pinned primitive.
   std::unique_ptr<ckt::EvalSession> session = pv.enabled() ? nullptr : acquire_session();
   ckt::EvalResult result;
   Stopwatch timer;

@@ -147,7 +147,8 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   /// per-variant key (problem fingerprint folded with the variation
   /// fingerprint when `pv` is enabled — nominal keys are unchanged, so
   /// existing journals stay valid). Enabled variations bypass the pooled
-  /// sessions (those are pinned to the nominal setting) and evaluate through
+  /// sessions (each is the inner problem's make_session(), nominal by
+  /// construction: no problem holds variation state) and evaluate through
   /// the inner problem's evaluate_at.
   ckt::EvalResult evaluate_at(const Vec& x,
                               const ckt::ProcessVariation& pv) const override;
@@ -215,8 +216,9 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
 
   /// Session pool: producers check a session out for the duration of one
   /// simulation and return it afterwards, so concurrent batch workers each
-  /// drive their own persistent testbench. Sessions are pinned to the
-  /// nominal variation. A session whose evaluation threw is discarded.
+  /// drive their own persistent testbench. Sessions come from the inner
+  /// problem's make_session(), so they are nominal. A session whose
+  /// evaluation threw is discarded.
   std::unique_ptr<ckt::EvalSession> acquire_session() const;
   void release_session(std::unique_ptr<ckt::EvalSession> session) const;
 

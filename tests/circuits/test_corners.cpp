@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuits/process_variation.hpp"
 #include "circuits/two_stage_ota.hpp"
 
 namespace maopt::ckt {
 namespace {
+
+/// `x` at the five corners, in enum order, through evaluate_at.
+std::vector<EvalResult> at_every_corner(const SizingProblem& problem, const linalg::Vec& x) {
+  std::vector<EvalResult> results;
+  for (const auto corner : {ProcessCorner::TT, ProcessCorner::FF, ProcessCorner::SS,
+                            ProcessCorner::FS, ProcessCorner::SF})
+    results.push_back(problem.evaluate_at(x, corner_variation(corner)));
+  return results;
+}
 
 TEST(Corners, NamesAndTtIsNominal) {
   EXPECT_STREQ(corner_name(ProcessCorner::TT), "TT");
@@ -42,7 +53,7 @@ TEST(Corners, OtaPowerOrdersWithCornerSpeed) {
   TwoStageOta p;
   const linalg::Vec x =
       p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
-  const auto results = evaluate_corners(p, x);
+  const auto results = at_every_corner(p, x);
   ASSERT_EQ(results.size(), 5u);
   for (const auto& r : results) ASSERT_TRUE(r.simulation_ok);
   const double tt = results[0].metrics[TwoStageOta::kPowerMw];
@@ -57,7 +68,7 @@ TEST(Corners, EvaluationResetsToNominal) {
   const linalg::Vec x =
       p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
   const auto nominal = p.evaluate(x);
-  evaluate_corners(p, x);
+  at_every_corner(p, x);
   EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
 }
 
@@ -66,7 +77,7 @@ TEST(Corners, TtCornerMatchesNominalEvaluation) {
   const linalg::Vec x =
       p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
   const auto nominal = p.evaluate(x);
-  const auto results = evaluate_corners(p, x);
+  const auto results = at_every_corner(p, x);
   EXPECT_EQ(results[0].metrics, nominal.metrics);
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "circuits/analytic_problems.hpp"
+#include "circuits/robust_problem.hpp"
 #include "circuits/two_stage_ota.hpp"
 
 namespace maopt::ckt {
@@ -36,15 +37,14 @@ TEST(VaryModel, PerturbsWithRequestedSpread) {
 }
 
 TEST(ProcessVariation, AnalyticProblemsIgnoreIt) {
+  // A variation-unaware problem takes the nominal setting on every
+  // variation-pinned entry point and answers exactly as evaluate() does.
   ConstrainedQuadratic p(3);
   EXPECT_FALSE(p.supports_process_variation());
   const Vec x{0.3, 0.3, 0.3};
-  const auto before = p.evaluate(x);
-  ProcessVariation pv;
-  pv.sigma_vth = 0.1;
-  p.set_process_variation(pv);  // no-op
-  const auto after = p.evaluate(x);
-  EXPECT_EQ(before.metrics, after.metrics);
+  const auto nominal = p.evaluate(x);
+  EXPECT_EQ(p.evaluate_at(x, ProcessVariation{}).metrics, nominal.metrics);
+  EXPECT_EQ(p.make_session_at(ProcessVariation{})->evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(ProcessVariation, OtaMetricsShiftUnderMismatch) {
@@ -58,23 +58,16 @@ TEST(ProcessVariation, OtaMetricsShiftUnderMismatch) {
   pv.sigma_vth = 0.02;
   pv.sigma_kp_rel = 0.05;
   pv.seed = 1;
-  p.set_process_variation(pv);
-  const auto varied = p.evaluate(x);
+  const auto varied = p.evaluate_at(x, pv);
   ASSERT_TRUE(varied.simulation_ok);
   // Mismatch must move at least the matching-sensitive metrics (CMRR).
   EXPECT_NE(nominal.metrics[TwoStageOta::kCmrrDb], varied.metrics[TwoStageOta::kCmrrDb]);
 
   // Same seed -> identical result; different seed -> different result.
-  const auto varied_again = p.evaluate(x);
-  EXPECT_EQ(varied.metrics, varied_again.metrics);
+  EXPECT_EQ(p.evaluate_at(x, pv).metrics, varied.metrics);
   pv.seed = 2;
-  p.set_process_variation(pv);
-  const auto other_seed = p.evaluate(x);
-  EXPECT_NE(varied.metrics, other_seed.metrics);
-
-  p.set_process_variation(ProcessVariation{});
-  const auto back = p.evaluate(x);
-  EXPECT_EQ(back.metrics, nominal.metrics);
+  EXPECT_NE(p.evaluate_at(x, pv).metrics, varied.metrics);
+  EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(ProcessVariation, MismatchVisiblyMovesCmrr) {
@@ -90,11 +83,9 @@ TEST(ProcessVariation, MismatchVisiblyMovesCmrr) {
     ProcessVariation pv;
     pv.sigma_vth = 0.01;
     pv.seed = static_cast<std::uint64_t>(k);
-    p.set_process_variation(pv);
-    const auto r = p.evaluate(x);
+    const auto r = p.evaluate_at(x, pv);
     if (r.simulation_ok && std::abs(r.metrics[TwoStageOta::kCmrrDb] - nominal_cmrr) > 0.1) ++moved;
   }
-  p.set_process_variation(ProcessVariation{});
   EXPECT_GE(moved, n - 1);
 }
 
@@ -102,23 +93,35 @@ TEST(EstimateYield, CountsAndResetsToNominal) {
   TwoStageOta p;
   const Vec x = p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
   const auto nominal = p.evaluate(x);
-  const YieldResult y = estimate_yield(p, x, 5, 0.01, 0.03);
-  EXPECT_EQ(y.total, 5);
-  EXPECT_EQ(y.metric_samples.size(), 5u);
-  EXPECT_GE(y.feasible, 0);
-  EXPECT_LE(y.feasible, 5);
-  EXPECT_GE(y.yield(), 0.0);
-  EXPECT_LE(y.yield(), 1.0);
-  // State restored.
+  YieldConfig config;
+  config.mismatch.sigma_vth = 0.01;
+  config.mismatch.sigma_kp_rel = 0.03;
+  config.mismatch.instances = 5;
+  const YieldProblem yield(p, config);
+  const EvalResult y = yield.evaluate(x);
+  EXPECT_EQ(y.variants_total, 5u);
+  EXPECT_LE(y.variants_failed, 5u);
+  EXPECT_EQ(y.metrics.size(), p.num_metrics());
+  const SweepStats stats = yield.stats();
+  EXPECT_EQ(stats.sweeps, 1u);
+  EXPECT_EQ(stats.variants_ok + stats.variants_failed, 5u);
+  // The sweep passed every variation as an argument: the circuit is nominal.
   EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(EstimateYield, ZeroSigmaYieldMatchesNominalFeasibility) {
+  // Zero-sigma Monte Carlo instances are the nominal process whatever their
+  // seed, so each one reproduces the nominal metrics and feasibility.
   TwoStageOta p;
   const Vec x = p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
-  const bool nominal_feasible = p.feasible(p.evaluate(x).metrics);
-  const YieldResult y = estimate_yield(p, x, 3, 0.0, 0.0);
-  EXPECT_EQ(y.yield(), nominal_feasible ? 1.0 : 0.0);
+  const auto nominal = p.evaluate(x);
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    ProcessVariation pv;
+    pv.seed = seed;
+    const auto r = p.evaluate_at(x, pv);
+    EXPECT_EQ(r.metrics, nominal.metrics) << "seed " << seed;
+    EXPECT_EQ(p.feasible(r.metrics), p.feasible(nominal.metrics)) << "seed " << seed;
+  }
 }
 
 TEST(ValidateProcessVariation, ContractChecks) {
@@ -167,13 +170,10 @@ TEST(EvaluateAt, DoesNotTouchAmbientVariationState) {
   const auto varied = p.evaluate_at(x, pv);
   ASSERT_TRUE(varied.simulation_ok);
   EXPECT_NE(varied.metrics, nominal.metrics);
-  // The ambient state was never mutated: evaluate() still reports nominal.
+  // The variation was an argument, not state: evaluate() and a fresh
+  // nominal session still report nominal.
   EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
-
-  // evaluate_at matches the legacy set_process_variation + evaluate result.
-  p.set_process_variation(pv);
-  EXPECT_EQ(p.evaluate(x).metrics, varied.metrics);
-  p.set_process_variation(ProcessVariation{});
+  EXPECT_EQ(p.make_session()->evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(EvaluateAt, SessionPinnedToVariationMatchesEvaluateAt) {

@@ -84,7 +84,8 @@ TEST(RobustProblem, FeasibleRobustDesignIsFeasibleAtEveryCorner) {
   const Vec x = ota.clip(ota_reference());
   const auto worst = robust.evaluate(x);
   if (robust.feasible(worst.metrics)) {
-    for (const auto& r : evaluate_corners(ota, x)) EXPECT_TRUE(ota.feasible(r.metrics));
+    for (const SweepVariant& corner : robust.variants())
+      EXPECT_TRUE(ota.feasible(ota.evaluate_at(x, corner.pv).metrics)) << corner.label;
   } else {
     SUCCEED();  // reference design need not be robust-feasible
   }

@@ -16,6 +16,7 @@
 #include "circuits/three_stage_tia.hpp"
 #include "circuits/two_stage_ota.hpp"
 #include "common/rng.hpp"
+#include "deck/deck_problem.hpp"
 
 namespace maopt::ckt {
 namespace {
@@ -27,22 +28,32 @@ void expect_identical(const EvalResult& got, const EvalResult& want, const char*
     EXPECT_EQ(got.metrics[i], want.metrics[i]) << context << " metric " << i;
 }
 
-/// Sessions reuse benches across designs; evaluate() builds fresh ones. The
-/// A, B, A' sequence (with A' == A) catches any state the second design
-/// leaks into the third evaluation.
-void check_session_identity(const SizingProblem& problem, std::uint64_t seed) {
+/// Sessions reuse benches across designs; evaluate_at() builds fresh ones.
+/// The A, B, A' sequence (with A' == A) catches any state the second design
+/// leaks into the third evaluation. At nominal, evaluate() and the
+/// make_session() session must match evaluate_at(x, {}) bit for bit too.
+void check_session_identity(const SizingProblem& problem, std::uint64_t seed,
+                            const ProcessVariation& pv = {}) {
   Rng rng(seed);
   const Vec a = problem.random_design(rng);
   const Vec b = problem.random_design(rng);
 
-  const EvalResult ref_a = problem.evaluate(a);
-  const EvalResult ref_b = problem.evaluate(b);
+  const EvalResult ref_a = problem.evaluate_at(a, pv);
+  const EvalResult ref_b = problem.evaluate_at(b, pv);
+  std::vector<std::unique_ptr<EvalSession>> sessions;
+  sessions.push_back(problem.make_session_at(pv));
+  if (!pv.enabled()) {
+    expect_identical(problem.evaluate(a), ref_a, "evaluate vs evaluate_at");
+    expect_identical(problem.evaluate(b), ref_b, "evaluate vs evaluate_at");
+    sessions.push_back(problem.make_session());
+  }
 
-  const auto session = problem.make_session();
-  ASSERT_NE(session, nullptr);
-  expect_identical(session->evaluate(a), ref_a, "first design");
-  expect_identical(session->evaluate(b), ref_b, "second design (reused bench)");
-  expect_identical(session->evaluate(a), ref_a, "first design again (after reuse)");
+  for (const auto& session : sessions) {
+    ASSERT_NE(session, nullptr);
+    expect_identical(session->evaluate(a), ref_a, "first design");
+    expect_identical(session->evaluate(b), ref_b, "second design (reused bench)");
+    expect_identical(session->evaluate(a), ref_a, "first design again (after reuse)");
+  }
 }
 
 TEST(EvalSessionTest, TwoStageOtaSessionMatchesEvaluate) {
@@ -61,13 +72,18 @@ TEST(EvalSessionTest, LdoRegulatorSessionMatchesEvaluate) {
   check_session_identity(LdoRegulator{}, 44);
 }
 
-TEST(EvalSessionTest, SessionSnapshotsProcessVariation) {
-  TwoStageOta ota;
+TEST(EvalSessionTest, FiveTransistorOtaDeckSessionMatchesEvaluate) {
+  check_session_identity(deck::DeckProblem::from_files(MAOPT_DECKS_DIR "/five_transistor_ota.cir"),
+                         48);
+}
+
+TEST(EvalSessionTest, PinnedSessionMatchesEvaluateAt) {
   ProcessVariation pv;
   pv.sigma_vth = 5e-3;
   pv.seed = 7;
-  ota.set_process_variation(pv);
-  check_session_identity(ota, 45);
+  check_session_identity(TwoStageOta{}, 45, pv);
+  check_session_identity(deck::DeckProblem::from_files(MAOPT_DECKS_DIR "/five_transistor_ota.cir"),
+                         49, pv);
 }
 
 TEST(EvalSessionTest, DefaultSessionForwardsForAnalyticProblems) {

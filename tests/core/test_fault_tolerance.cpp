@@ -191,7 +191,8 @@ TEST_F(FaultFixture, CheckpointResumeReproducesUninterruptedRun) {
   ASSERT_LT(snapshot.history.simulations_used(), budget);  // genuinely mid-run
 
   MaOptimizer resumed_opt(cfg);
-  const RunHistory resumed = resumed_opt.resume(problem, snapshot, *fom, budget);
+  const RunHistory resumed =
+      resumed_opt.resume(problem, snapshot, *fom, {.simulation_budget = budget});
 
   ASSERT_EQ(resumed.records.size(), ref.records.size());
   for (std::size_t i = 0; i < ref.records.size(); ++i) {
@@ -229,7 +230,8 @@ TEST_F(FaultFixture, CheckpointResumeDeterministicUnderFaults) {
   const RunCheckpoint snapshot = load_checkpoint(path);
   ASSERT_LT(snapshot.history.simulations_used(), budget);
   MaOptimizer resumed_opt(cfg);
-  const RunHistory resumed = resumed_opt.resume(faulty, snapshot, *fom, budget);
+  const RunHistory resumed =
+      resumed_opt.resume(faulty, snapshot, *fom, {.simulation_budget = budget});
 
   ASSERT_EQ(resumed.records.size(), ref.records.size());
   for (std::size_t i = 0; i < ref.records.size(); ++i) {
@@ -250,7 +252,8 @@ TEST_F(FaultFixture, ResumeWithFullyCompleteCheckpointIsANoOp) {
 
   const RunCheckpoint snapshot = load_checkpoint(path);
   MaOptimizer resumed_opt(cfg);
-  const RunHistory resumed = resumed_opt.resume(problem, snapshot, *fom, budget);
+  const RunHistory resumed =
+      resumed_opt.resume(problem, snapshot, *fom, {.simulation_budget = budget});
   ASSERT_EQ(resumed.records.size(), h.records.size());
   for (std::size_t i = 0; i < h.records.size(); ++i)
     EXPECT_EQ(resumed.records[i].x, h.records[i].x);

@@ -158,7 +158,8 @@ TEST_F(RobustWorkloadFixture, CheckpointResumeReplaysSweepRunBitIdentical) {
   for (const auto& r : snapshot.history.records) EXPECT_EQ(r.variants_total, 5u);
 
   MaOptimizer resumed_opt(cfg);
-  const RunHistory resumed = resumed_opt.resume(robust, snapshot, fom, budget);
+  const RunHistory resumed =
+      resumed_opt.resume(robust, snapshot, fom, {.simulation_budget = budget});
   ASSERT_EQ(resumed.records.size(), ref.records.size());
   for (std::size_t i = 0; i < ref.records.size(); ++i) {
     EXPECT_EQ(resumed.records[i].x, ref.records[i].x) << "record " << i;

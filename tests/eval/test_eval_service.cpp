@@ -12,6 +12,7 @@
 #include "circuits/resilient_problem.hpp"
 #include "circuits/robust_problem.hpp"
 #include "circuits/two_stage_ota.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace maopt::eval {
@@ -396,6 +397,35 @@ TEST(EvalServiceSessions, CircuitBatchThroughSessionsMatchesPointPath) {
   EXPECT_EQ(c.hits + c.misses, c.requested);
   EXPECT_EQ(c.simulations, c.misses - c.coalesced);
   EXPECT_EQ(c.simulations, 3u) << "duplicate design must not re-simulate";
+}
+
+TEST(EvalServiceSessions, InnerCircuitCannotBeSwitchedToAVariation) {
+  // A problem holds no variation state, so nothing can change what the
+  // service's pooled sessions simulate behind its cache: setting a variation
+  // on the inner circuit is refused, and the service's nominal answer is the
+  // bare circuit's nominal answer, bit for bit, on a miss and on a hit.
+  ckt::TwoStageOta ota;
+  EvalService service(ota);
+  const Vec x = ota.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
+  const ckt::EvalResult bare = ota.evaluate(x);
+  ASSERT_TRUE(bare.simulation_ok);
+
+  ckt::ProcessVariation pv;
+  pv.sigma_vth = 0.02;
+  pv.sigma_kp_rel = 0.05;
+  pv.seed = 1;
+  EXPECT_THROW(ota.set_process_variation(pv), ContractViolation);
+  EXPECT_NO_THROW(ota.set_process_variation(ckt::ProcessVariation{}));
+
+  const ckt::EvalResult miss = service.evaluate(x);
+  const ckt::EvalResult hit = service.evaluate(x);
+  EXPECT_FALSE(miss.call.cache_hit);
+  EXPECT_TRUE(hit.call.cache_hit);
+  EXPECT_EQ(miss.metrics, bare.metrics);
+  EXPECT_EQ(hit.metrics, bare.metrics);
+  // The varied answer lives under its own key and differs from nominal.
+  EXPECT_NE(service.evaluate_at(x, pv).metrics, bare.metrics);
+  EXPECT_EQ(service.evaluate(x).metrics, bare.metrics);
 }
 
 TEST(ServiceSweep, EvaluateAtUsesPerVariantCacheKeys) {
